@@ -4,10 +4,12 @@ A from-scratch re-expression of the capabilities of
 ``CarlosMagnoSTavares/document-local-ai-processor`` (studied read-only at
 /root/reference; see SURVEY.md) as a streaming Ray Data batch job:
 
-  read_parquet(pages) -> map_batches(type detect)
-                      -> map_batches(ExtractBatch actor pool)   # DOM strip / PDFL layout parse
-                      -> dedup-by-url (keep latest warc_ts)
-                      -> write_parquet(partitioned) + per-partition manifests
+  recrawl winner pass (url, warc_ts only) -> broadcast winner map
+  read_parquet(pages) -> map_batches(drop recrawl losers)   # keep latest warc_ts
+                      -> map_batches(extract_batch tasks)    # sniff, DOM strip,
+                                                             # inline PDFL/XLSL/DOCL decode
+                      -> write_parquet(partitioned by input shard)
+                      + per-partition manifests
 
 The reference is a FastAPI/Celery/Redis/SQLite per-document queue
 (reference: workers.py:39-345, main.py:178-325); this engine replaces the

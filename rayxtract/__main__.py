@@ -50,13 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     px.add_argument("--batch-size", type=int, default=128)
     px.add_argument("--heavy-bytes", type=int, default=4 * 1024 * 1024)
     px.add_argument(
-        "--loser-filter", choices=["auto", "broadcast", "shardmap", "antijoin"],
-        default="auto",
-        help="recrawl-loser filter: broadcast probe vs distributed anti-join "
-             "(auto switches on dup-url count)",
-    )
-
-    px.add_argument(
         "--delta", action="store_true",
         help="incremental run against an existing out dir: process only "
              "NEW input shards (plus any completed partitions whose urls "
@@ -181,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
             ExtractConfig(
                 batch_size=args.batch_size,
                 heavy_bytes=args.heavy_bytes,
-                loser_filter=args.loser_filter,
             ),
             resume=not args.no_resume,
         )
@@ -259,8 +251,11 @@ def main(argv: list[str] | None = None) -> int:
                 df = result.head(args.limit)
             for row in json.loads(df.to_json(orient="records")):
                 print(json.dumps(row, ensure_ascii=False))
-        if args.stats and isinstance(result, ray.data.Dataset):
-            print(result.stats(), file=sys.stderr)
+        if args.stats:
+            if isinstance(result, ray.data.Dataset):
+                print(result.stats(), file=sys.stderr)
+            else:
+                print("stats unavailable: driver-side query result", file=sys.stderr)
     return 0
 
 

@@ -676,13 +676,18 @@ def knn_graph_exact(
         )
 
     # gather QUANTIZED codes, not raw float vectors: 8x smaller driver
-    # gather (uint8 blobs), quantization stays distributed
-    rows = ds.map_batches(to_codes, batch_format="pandas").take_all()
-    if len(rows) > cap:
+    # gather (uint8 blobs), quantization stays distributed. The gather
+    # streams and stops at cap + 1 rows, so an oversized input never lands
+    # on the driver whole.
+    try:
+        rows = ds.map_batches(to_codes, batch_format="pandas").take_all(limit=cap)
+    except ValueError as e:
+        if isinstance(e, ray.exceptions.RayError):
+            raise  # a failure inside to_codes, not the cap
         raise ValueError(
             f"knn_graph_exact is the <= {cap}-vector baseline "
-            f"(got {len(rows)}); use knn_graph_ivf at corpus scale"
-        )
+            f"(got more than {cap}); use knn_graph_ivf at corpus scale"
+        ) from e
     ids_all = np.array([int(r[id_col]) for r in rows], dtype=np.int64)
     codes_all = np.frombuffer(
         b"".join(r["c"] for r in rows), dtype=np.uint8

@@ -82,10 +82,11 @@ def _key_ints(values) -> np.ndarray:
     """int64 BUCKETING representation of a join-key array: integer keys
     pass through; string/object keys (url, domain — the native keys of
     every pages-table workload) hash via ``pd.util.hash_array``
-    (deterministic across processes; the same trick pipeline's
-    _antijoin_losers uses). Used only to pick a bucket — the per-bucket
-    pandas merge runs on the RAW key column, so a 64-bit hash collision
-    merely co-locates two keys in one bucket, never mis-joins them."""
+    (deterministic across processes). Used only to pick a bucket — the
+    per-bucket pandas merge runs on the RAW key column, so a 64-bit hash
+    collision merely co-locates two keys in one bucket, never mis-joins
+    them. Null keys (float64 + NaN, as a nullable-Int64 column converts)
+    raise a ValueError naming them."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         return arr.astype(np.int64)
@@ -93,6 +94,11 @@ def _key_ints(values) -> np.ndarray:
         return arr.astype(np.int64)
     if arr.dtype.kind in "OUS":
         return pd.util.hash_array(arr.astype("object")).view(np.int64)
+    if arr.dtype.kind == "f" and np.isnan(arr).any():
+        raise ValueError(
+            "null join keys: the key column holds nulls; drop or fill them "
+            "before the join"
+        )
     raise TypeError(
         f"unsupported join key dtype {arr.dtype} (int or string keys only)"
     )

@@ -1,20 +1,13 @@
 """Batch operators for the extraction pipeline.
 
-Two-stage design (SURVEY.md §7.3):
-
-  * ``extract_batch`` — STATELESS task stage: payload sniff + DOM strip +
-    sentinels. Deliberately task-based (not an actor pool) so Ray's
-    streaming executor schedules it elastically — a pool of N CPU-reserving
-    actors starves the read/write stages and caps scaling (measured: tasks
-    29.7s->9.4s for 8->32 CPUs vs actors 31.7s->27.4s on the same input).
-    PDFL rows are NOT parsed here: they pass through with a carried
-    ``payload`` column for the stateful stage.
-  * ``LayoutParse`` — STATEFUL actor-pool stage: one warm PDFL
-    decoder per actor (the reference's warm-service pattern for its
-    OCR/LLM daemons, supervisord.conf:27-36, re-expressed as
-    ``map_batches(LayoutParse, concurrency=(a,b))``). Non-PDFL rows pass
-    through untouched, so the pipeline stays a single linear DAG with no
-    split/union re-read.
+One stateless task stage (SURVEY.md §7.3): ``extract_batch`` sniffs each
+payload and extracts it inline — DOM strip for HTML, the PDFL layout
+decoder, the XLSL and DOCL parsers — into ``schema.EXTRACTED_SCHEMA``.
+Deliberately task-based (not an actor pool) so Ray's streaming executor
+schedules it elastically — a pool of N CPU-reserving actors starves the
+read/write stages and caps scaling (measured: tasks 29.7s->9.4s for
+8->32 CPUs vs actors 31.7s->27.4s on the same input). ``isolate_heavy``
+runs just before it and gives every oversized payload its own batch.
 
 The dispatch mirrors the reference's extension-based router
 (utils.py:208-233) as content sniffing; failure rows become sentinel rows,
@@ -37,7 +30,7 @@ from .schema import (
     DOC_TYPE_HTML,
     DOC_TYPE_PDFL,
     DOC_TYPE_XLSL,
-    SPAN_TYPE,
+    EXTRACTED_SCHEMA,
 )
 from .table import XLSL_MAGIC, parse_xlsl
 from .synth import sentinel_error
@@ -46,31 +39,8 @@ __all__ = [
     "ExtractConfig",
     "extract_batch",
     "isolate_heavy",
-    "LayoutParse",
     "detect_type",
-    "partition_of",
-    "add_partition_id",
-    "STAGE_SCHEMA",
 ]
-
-# stage-1 output schema: EXTRACTED_SCHEMA + carried payload for deferred rows
-STAGE_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("doc_type", pa.string()),
-        ("text", pa.string()),
-        ("spans", SPAN_TYPE),
-        ("lang", pa.string()),
-        ("n_chars", pa.int64()),
-        ("is_ocr_fallback", pa.bool_()),
-        ("is_parse_failure", pa.bool_()),
-        ("error", pa.string()),
-        ("text_crc", pa.int64()),
-        ("partition_id", pa.int64()),
-        ("payload", pa.binary()),  # non-null only for rows deferred to LayoutParse
-    ]
-)
 
 
 def detect_type(payload: bytes) -> str:
@@ -90,76 +60,25 @@ def detect_type(payload: bytes) -> str:
     return DOC_TYPE_GARBAGE
 
 
-def partition_of(url: str, n_partitions: int) -> int:
-    """Stable hash(url) -> partition id. crc32, never Python hash() —
-    must agree across processes and runs (checkpoint identity)."""
-    return zlib.crc32(url.encode("utf-8")) % n_partitions
-
-
 class ExtractConfig:
     """Pipeline knobs (the reference's env-config analogue, utils.py:19-23)."""
 
-    __slots__ = (
-        "n_partitions",
-        "max_bytes",
-        "batch_size",
-        "layout_batch_size",
-        "layout_concurrency",
-        "use_layout_actors",
-        "heavy_bytes",
-        "dom",
-        "loser_filter",
-        "winner_broadcast_limit",
-    )
+    __slots__ = ("max_bytes", "batch_size", "heavy_bytes", "dom")
 
     def __init__(
         self,
-        n_partitions: int = 64,
         max_bytes: int = 50 * 1024 * 1024,  # reference MAX_FILE_SIZE, utils.py:23
         batch_size: int = 128,
-        layout_batch_size: int = 256,
-        layout_concurrency: tuple[int, int] | int = (1, 8),
-        use_layout_actors: bool = False,
         heavy_bytes: int | None = 4 * 1024 * 1024,
         dom: DomConfig | None = None,
-        loser_filter: str = "auto",
-        winner_broadcast_limit: int = 5_000_000,
     ) -> None:
-        self.n_partitions = n_partitions
         self.max_bytes = max_bytes
         self.batch_size = batch_size
-        self.layout_batch_size = layout_batch_size
-        self.layout_concurrency = layout_concurrency
         # payloads >= heavy_bytes are isolated into single-row batches by
         # isolate_heavy (skew: a 50-MB blob must never share a 128-row
         # batch with 127 peers). None disables the stage.
         self.heavy_bytes = heavy_bytes
-        # False (default): PDFL parse runs inline in the stateless task
-        # stage — right when the parser is cheap CPU work (this synthetic
-        # decoder). True: defer PDFL rows to the LayoutParse actor-pool
-        # stage — right when the parser holds heavy warm state (a real
-        # OCR/model engine). CAVEAT: Ray fuses the upstream task stage into
-        # the actor operator, so the WHOLE stream then flows through the
-        # pool — size layout_concurrency generously or extraction is capped
-        # by pool width (measured: fused pool at (1,8) held 32-CPU scaling
-        # to ~1.2x over 8-CPU).
-        self.use_layout_actors = use_layout_actors
         self.dom = dom or DomConfig()
-        # recrawl-loser filter strategy: "broadcast" ships the O(dup-url)
-        # winner map once via ray.put and probes it vectorized per batch
-        # (zero payload movement — right up to ~10^9 dup urls);
-        # "shardmap" restricts the DISTRIBUTED winner table to each input
-        # shard's own urls via small bucketed joins of url partials — no
-        # payload movement either, workers fetch only their shards' maps
-        # (the 10^12-doc path; measured ~broadcast-speed); "antijoin"
-        # hash(url)-buckets the page stream itself against the winner
-        # table (one full payload exchange — the fallback when even
-        # per-shard maps are awkward, e.g. unsharded input). "auto" picks
-        # broadcast iff dup urls <= winner_broadcast_limit, else shardmap.
-        if loser_filter not in ("auto", "broadcast", "shardmap", "antijoin"):
-            raise ValueError(f"unknown loser_filter {loser_filter!r}")
-        self.loser_filter = loser_filter
-        self.winner_broadcast_limit = winner_broadcast_limit
 
 
 def isolate_heavy(batch: pa.Table, heavy_bytes: int):
@@ -194,85 +113,41 @@ def isolate_heavy(batch: pa.Table, heavy_bytes: int):
         yield hv.slice(i, 1)
 
 
-def add_partition_id(batch: pa.Table, n_partitions: int) -> pa.Table:
-    """Cheap first stage: partition_id from url (resume filtering runs on
-    this before any heavy work)."""
-    pids = pa.array(
-        [partition_of(u, n_partitions) for u in batch["url"].to_pylist()],
-        type=pa.int64(),
-    )
-    return batch.append_column("partition_id", pids)
-
-
-def _rows_to_stage_table(rows: dict) -> pa.Table:
-    return pa.Table.from_arrays(
-        [
-            pa.array(rows["url"], type=pa.string()),
-            pa.array(rows["warc_ts"], type=pa.timestamp("us")),
-            pa.array(rows["doc_type"], type=pa.string()),
-            pa.array(rows["text"], type=pa.string()),
-            pa.array(rows["spans"], type=SPAN_TYPE),
-            pa.array(rows["lang"], type=pa.string()),
-            pa.array(rows["n_chars"], type=pa.int64()),
-            pa.array(rows["is_ocr_fallback"], type=pa.bool_()),
-            pa.array(rows["is_parse_failure"], type=pa.bool_()),
-            pa.array(rows["error"], type=pa.string()),
-            pa.array(rows["text_crc"], type=pa.int64()),
-            pa.array(rows["partition_id"], type=pa.int64()),
-            pa.array(rows["payload"], type=pa.binary()),
-        ],
-        schema=STAGE_SCHEMA,
-    )
-
-
-def extract_batch(
-    batch: pa.Table, cfg: ExtractConfig, parse_pdfl_inline: bool = True
-) -> pa.Table:
-    """Stateless task stage: sniff + DOM strip; PDFL parsed inline or
-    deferred to the LayoutParse actor stage (cfg.use_layout_actors)."""
+def extract_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
+    """Stateless task stage: sniff + extract every row into
+    ``EXTRACTED_SCHEMA``. ``partition_id`` (the input shard, tagged by the
+    pipeline) is carried through; a batch without it gets nulls."""
     urls = batch["url"].to_pylist()
     payloads = batch["html"].to_pylist()
-    langs = (
-        batch["lang"].to_pylist()
-        if "lang" in batch.column_names
-        else [""] * len(urls)
-    )
-    if "partition_id" in batch.column_names:
-        pids = batch["partition_id"].to_pylist()
-    else:
-        pids = [partition_of(u, cfg.n_partitions) for u in urls]
+    names = batch.column_names
+    n = len(urls)
 
-    rows = {k: [] for k in STAGE_SCHEMA.names}
+    rows = {k: [] for k in EXTRACTED_SCHEMA.names}
     rows["url"] = urls
     rows["warc_ts"] = batch["warc_ts"].to_pylist()
-    rows["lang"] = langs
-    rows["partition_id"] = pids
+    rows["lang"] = batch["lang"].to_pylist() if "lang" in names else [""] * n
+    rows["partition_id"] = (
+        batch["partition_id"].to_pylist() if "partition_id" in names else [None] * n
+    )
 
     for url, payload in zip(urls, payloads):
-        doc_type, text, spans, ocr, fail, err, carry = _extract_one(
-            url, payload, cfg, parse_pdfl_inline
-        )
+        doc_type, text, spans, ocr, fail, err = _extract_one(url, payload, cfg)
         rows["doc_type"].append(doc_type)
         rows["text"].append(text)
         rows["spans"].append(spans)
         rows["is_ocr_fallback"].append(ocr)
         rows["is_parse_failure"].append(fail)
         rows["error"].append(err)
-        rows["payload"].append(carry)
-        if text is None:  # deferred to LayoutParse
-            rows["n_chars"].append(0)
-            rows["text_crc"].append(0)
-        else:
-            rows["n_chars"].append(len(text))
-            rows["text_crc"].append(zlib.crc32(text.encode("utf-8")))
-    return _rows_to_stage_table(rows)
+        rows["n_chars"].append(len(text))
+        rows["text_crc"].append(zlib.crc32(text.encode("utf-8")))
+    return pa.Table.from_pydict(rows, schema=EXTRACTED_SCHEMA)
 
 
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-def _extract_one(url: str, payload, cfg: ExtractConfig, parse_pdfl_inline: bool = True):
-    """(doc_type, text|None, spans, is_ocr, is_fail, error, carried_payload)"""
+def _extract_one(url: str, payload, cfg: ExtractConfig):
+    """(doc_type, text, spans, is_ocr, is_fail, error)"""
     if payload is None or len(payload) > cfg.max_bytes:
         return (
             DOC_TYPE_GARBAGE,
@@ -281,7 +156,6 @@ def _extract_one(url: str, payload, cfg: ExtractConfig, parse_pdfl_inline: bool 
             False,
             True,
             "payload missing or exceeds max_bytes",
-            None,
         )
     if payload[:2] == GZIP_MAGIC:
         # transparent member decompression (Common-Crawl WARC payloads are
@@ -299,7 +173,6 @@ def _extract_one(url: str, payload, cfg: ExtractConfig, parse_pdfl_inline: bool 
                 False,
                 True,
                 f"gzip decompress failed: {str(e)[:150]}",
-                None,
             )
         if len(payload) > cfg.max_bytes:
             return (
@@ -309,32 +182,28 @@ def _extract_one(url: str, payload, cfg: ExtractConfig, parse_pdfl_inline: bool 
                 False,
                 True,
                 "decompressed payload exceeds max_bytes",
-                None,
             )
     doc_type = detect_type(payload)
     if doc_type == DOC_TYPE_PDFL:
-        if not parse_pdfl_inline:
-            # deferred: the stateful layout stage owns this row
-            return doc_type, None, [], True, False, "", payload
         try:
             text, spans = layout_text(decode_pdfl(payload))
-            return doc_type, text, spans, True, False, "", None
+            return doc_type, text, spans, True, False, ""
         except (ValueError, UnicodeDecodeError, struct_error) as e:
-            return DOC_TYPE_GARBAGE, sentinel_error(url), [], False, True, str(e)[:200], None
+            return DOC_TYPE_GARBAGE, sentinel_error(url), [], False, True, str(e)[:200]
     try:
         if doc_type == DOC_TYPE_XLSL:
             # table payload: reference Excel join rules (utils.py:164-206)
             text, spans = parse_xlsl(payload)
             if not text:
-                return doc_type, sentinel_error(url), [], False, False, "empty extraction", None
-            return doc_type, text, spans, False, False, "", None
+                return doc_type, sentinel_error(url), [], False, False, "empty extraction"
+            return doc_type, text, spans, False, False, ""
         if doc_type == DOC_TYPE_DOCL:
             # structured paragraph payload: reference DOCX join rules
             # (utils.py:145-156)
             text, spans = parse_docl(payload)
             if not text:
-                return doc_type, sentinel_error(url), [], False, False, "empty extraction", None
-            return doc_type, text, spans, False, False, "", None
+                return doc_type, sentinel_error(url), [], False, False, "empty extraction"
+            return doc_type, text, spans, False, False, ""
         if doc_type == DOC_TYPE_HTML:
             # utf-8-sig: identical to utf-8 but strips a leading BOM
             text, spans = extract_main_content(
@@ -342,69 +211,9 @@ def _extract_one(url: str, payload, cfg: ExtractConfig, parse_pdfl_inline: bool 
             )
             if not text:
                 # reference's empty-extraction sentinel, workers.py:70-75
-                return doc_type, sentinel_error(url), [], False, False, "empty extraction", None
-            return doc_type, text, spans, False, False, "", None
+                return doc_type, sentinel_error(url), [], False, False, "empty extraction"
+            return doc_type, text, spans, False, False, ""
         raise ValueError("unrecognized payload")
     except (ValueError, UnicodeDecodeError, struct_error) as e:
-        return DOC_TYPE_GARBAGE, sentinel_error(url), [], False, True, str(e)[:200], None
+        return DOC_TYPE_GARBAGE, sentinel_error(url), [], False, True, str(e)[:200]
 
-
-class LayoutParse:
-    """Actor-pool stage: warm PDFL layout parser; pass-through otherwise.
-
-    ``__init__`` is the warm-up hook (decode tables, in a real OCR stage the
-    model weights) run once per actor; ``__call__`` parses only the rows the
-    task stage deferred (doc_type == pdfl, payload non-null)."""
-
-    def __init__(self, cfg: ExtractConfig | None = None) -> None:
-        self.cfg = cfg or ExtractConfig()
-        # warm state: the decoder entry points (kept simple by the synthetic
-        # format; a Tesseract-style engine would load here)
-        self._decode = decode_pdfl
-        self._layout = layout_text
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_types = batch["doc_type"].to_pylist()
-        if DOC_TYPE_PDFL not in doc_types:
-            return batch.drop_columns(["payload"])
-
-        urls = batch["url"].to_pylist()
-        payloads = batch["payload"].to_pylist()
-        texts = batch["text"].to_pylist()
-        spans = batch["spans"].to_pylist()
-        ocrs = batch["is_ocr_fallback"].to_pylist()
-        fails = batch["is_parse_failure"].to_pylist()
-        errors = batch["error"].to_pylist()
-        dts = list(doc_types)
-
-        for i, dt in enumerate(doc_types):
-            if dt != DOC_TYPE_PDFL:
-                continue
-            try:
-                texts[i], spans[i] = self._layout(self._decode(payloads[i]))
-            except (ValueError, UnicodeDecodeError, struct_error) as e:
-                texts[i] = sentinel_error(urls[i])
-                spans[i] = []
-                ocrs[i] = False  # same bytes out as the inline path
-                fails[i] = True
-                errors[i] = str(e)[:200]
-                dts[i] = DOC_TYPE_GARBAGE
-
-        n_chars = [len(t) for t in texts]
-        crcs = [zlib.crc32(t.encode("utf-8")) for t in texts]
-        out = {
-            "url": urls,
-            "warc_ts": batch["warc_ts"].to_pylist(),
-            "doc_type": dts,
-            "text": texts,
-            "spans": spans,
-            "lang": batch["lang"].to_pylist(),
-            "n_chars": n_chars,
-            "is_ocr_fallback": ocrs,
-            "is_parse_failure": fails,
-            "error": errors,
-            "text_crc": crcs,
-            "partition_id": batch["partition_id"].to_pylist(),
-            "payload": [None] * len(urls),
-        }
-        return _rows_to_stage_table(out).drop_columns(["payload"])

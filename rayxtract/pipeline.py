@@ -9,8 +9,9 @@ checkpoints (reference: main.py:178-325, workers.py:39-345) with::
                    -> recrawl winner map {url: max_ts}  (only dup urls)
     pass B (main): read_parquet(shard files, include_paths=True)
                    -> shard_id -> filter losers via broadcast winner map
-                   -> map_batches(extract_batch)    # stateless DOM strip
-                   -> map_batches(LayoutParse, ...) # stateful actor pool
+                   -> map_batches(isolate_heavy)  # oversized payloads alone
+                   -> map_batches(extract_batch)  # stateless: DOM strip +
+                                                  # inline PDFL/XLSL/DOCL decode
                    -> write_parquet(partition_cols=[partition_id])
     then: metrics read-back -> per-partition _manifest.json
 
@@ -27,14 +28,14 @@ Scale design (the whole point):
   * partition == INPUT SHARD (parquet file). Deterministic, and resume
     skips completed shards AT THE READ — an interrupted run re-reads only
     missing shards, not the whole input.
-  * skew: heavy blobs are isolated by small ``batch_size`` and Ray's
+  * skew: heavy blobs are isolated by ``ops.isolate_heavy`` and Ray's
     dynamic block splitting; no pre-shuffle needed.
   * winner map size scales with the RECRAWL-DUP url count (~5% of urls),
-    not the corpus; past ``ExtractConfig.winner_broadcast_limit`` dup urls
-    the engine switches to the hash(url)-bucketed ANTI-JOIN filter
-    (``_antijoin_losers``): the winner table stays distributed and the
-    page stream crosses one bucketed exchange instead (both paths
-    byte-identical, tested).
+    not the corpus: it is gathered to the driver once, shipped to the
+    workers once via ``ray.put`` and probed vectorized per batch. This is
+    the only loser filter; a distributed shard-map filter and a bucketed
+    anti-join were measured slower (BASELINE.md, "Loser-filter A/B") and
+    removed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import pyarrow as pa
 
 from . import manifest as mf
 from . import scale as _scale
-from .ops import ExtractConfig, LayoutParse, extract_batch
+from .ops import ExtractConfig, extract_batch, isolate_heavy
 
 __all__ = [
     "extraction_dataset",
@@ -91,9 +92,11 @@ def _shard_partial_fn(path: str, n_buckets: int):
     )
     part["n"] = part["n"].astype("int64")
     b = part["url"].map(lambda u: _zlib.crc32(u.encode()) % n_buckets)
-    return tuple(
+    parts = tuple(
         part[b == i].reset_index(drop=True) for i in range(n_buckets)
     )
+    # num_returns=1 stores the return value whole: hand back the frame
+    return parts if n_buckets > 1 else parts[0]
 
 
 def _bucket_reduce_fn(*frames):
@@ -110,49 +113,25 @@ def _bucket_reduce_fn(*frames):
     return out[out["n"] > 1].reset_index(drop=True)
 
 
-def _split_ties_fn(frame):
-    """(dup frame) -> (winners[url, max_ts], ties[url, max_ts], n_winners)
-    — winners stay remote for the shardmap/anti-join paths; only ties
-    (contractually ~zero) and the count (for the auto-mode threshold,
-    computed here instead of an extra task wave) are gathered."""
-    w = frame[frame["n_at_max"] <= 1][["url", "max_ts"]].reset_index(drop=True)
-    t = frame[frame["n_at_max"] > 1][["url", "max_ts"]].reset_index(drop=True)
-    return w, t, len(w)
-
-
-def _bucket_shard_split_fn(winners_b, *shard_partials):
-    """Restrict one bucket's winner frame to each shard's own url set —
-    one small inner merge per shard, emitted as separate returns so each
-    shard's restriction stays an independent ObjectRef."""
-    wb = winners_b[["url", "max_ts"]]
-    out = []
-    for sp in shard_partials:
-        if not len(sp) or not len(wb):
-            out.append(wb.iloc[0:0])
-        else:
-            out.append(wb.merge(sp[["url"]], on="url", how="inner"))
-    return tuple(out) if len(out) > 1 else out[0]
-
-
-def _concat_frames_fn(*frames):
-    import pandas as pd
-
-    return pd.concat(frames, ignore_index=True)
-
-
-def _winner_pass(pages_path: str, n_buckets: int | None = None):
+def compute_recrawl_winners(
+    pages_path: str, n_buckets: int | None = None
+) -> tuple[dict[str, int], dict[str, int]]:
     """Pass A, fully distributed: hash-bucketed two-level reduce.
 
     Reads just (url, warc_ts) — column pruning keeps this pass ~0.1% of the
     input bytes. Stage 1 (one task per shard, ``num_returns=n_buckets``)
     emits per-url partials (n, max_ts, n_at_max) split by hash(url) bucket;
     stage 2 (one task per bucket) merges its bucket's partials and emits
-    ONLY urls with n > 1. Returns ``(per_shard_partial_refs, winner_refs,
-    ties, n_dup)`` — winners stay in the object store (the broadcast path
-    pulls O(|dup urls|) to the driver; shardmap/anti-join never do); ties —
-    contractually near-empty — land on the driver for ``resolve_tie_rows``;
-    n_dup (total winner rows) drives the auto-mode threshold without an
-    extra task wave.
+    ONLY urls with n > 1, which the driver splits into winners and ties.
+
+    Returns ``(winners, ties)``:
+      * winners: url -> max warc_ts (microseconds) for dup urls whose max
+        ts is UNIQUE — the in-stream broadcast filter handles these;
+      * ties: url -> max warc_ts for dup urls with >1 row AT the max ts
+        (impossible in WARC-style data, but the contract is one row per
+        url regardless) — resolved by ``resolve_tie_rows``.
+
+    The driver holds O(|dup urls|) (~5% of urls), never O(|urls|).
 
     (A Ray Dataset groupby here cost 31s of fixed sort overhead for a
     200k-row two-column table — worse than the whole extraction; the raw
@@ -163,7 +142,6 @@ def _winner_pass(pages_path: str, n_buckets: int | None = None):
 
     shard_partial = ray.remote(num_cpus=1)(_shard_partial_fn)
     bucket_reduce = ray.remote(num_cpus=1)(_bucket_reduce_fn)
-    split_ties = ray.remote(num_cpus=1, num_returns=3)(_split_ties_fn)
     shards = list_shards(pages_path)
     per_shard = [
         shard_partial.options(num_returns=n_buckets).remote(p, n_buckets)
@@ -175,87 +153,13 @@ def _winner_pass(pages_path: str, n_buckets: int | None = None):
         bucket_reduce.remote(*[refs[b] for refs in per_shard])
         for b in range(n_buckets)
     ]
-    split = [split_ties.remote(r) for r in dup_refs]
-    winner_refs = [s[0] for s in split]
-    flat = ray.get([r for s in split for r in (s[1], s[2])])
-    tie_frames, counts = flat[0::2], flat[1::2]
-    ties = {
-        u: int(t)
-        for f in tie_frames
-        for u, t in zip(f["url"], f["max_ts"])
-    }
-    return per_shard, winner_refs, ties, int(sum(counts))
-
-
-def _split_winner_refs(pages_path: str, n_buckets: int | None = None):
-    """(winner frame refs, ties dict) — see ``_winner_pass``."""
-    _, winner_refs, ties, _ = _winner_pass(pages_path, n_buckets)
-    return winner_refs, ties
-
-
-def _gather_winners(winner_refs) -> dict[str, int]:
-    """Pull the distributed winner frames into one driver dict (the
-    BROADCAST path's O(|dup urls|) gather) — the single shared
-    implementation for compute_recrawl_winners and the extraction filter."""
-    import ray
-
     winners: dict[str, int] = {}
-    for f in ray.get(list(winner_refs)):
-        for url, ts in zip(f["url"], f["max_ts"]):
-            winners[url] = int(ts)
-    return winners
-
-
-def _shard_winner_maps(per_shard, winner_refs, n_buckets: int):
-    """Pass A2 (the "shardmap" filter): restrict the DISTRIBUTED winner
-    table to each input shard's own url set, without gathering either.
-
-    One task per bucket joins its winner frame against every shard's
-    bucket-b url partial (data it already co-located for the reduce) and
-    emits per-shard restrictions as separate returns; one tiny concat task
-    per shard assembles its map. The driver holds only ObjectRefs
-    (O(n_shards)); a worker later fetches just the maps of the shards its
-    batches came from — O(one shard's dup urls), NOT the global table.
-    At 10^12-doc scale (10^5-10^6 shards) the per-bucket fan-out
-    (num_returns = n_shards) is bounded by grouping shards, a constant
-    the caller picks; unnecessary at this sandbox's shard counts."""
-    import ray
-
-    n_shards = len(per_shard)
-    bucket_split = ray.remote(num_cpus=1)(_bucket_shard_split_fn)
-    concat = ray.remote(num_cpus=1)(_concat_frames_fn)
-    pieces = [
-        bucket_split.options(num_returns=n_shards).remote(
-            winner_refs[b], *[per_shard[s][b] for s in range(n_shards)]
-        )
-        for b in range(n_buckets)
-    ]
-    if n_shards == 1:
-        pieces = [[r] for r in pieces]
-    return [
-        concat.remote(*[pieces[b][s] for b in range(n_buckets)])
-        for s in range(n_shards)
-    ]
-
-
-def compute_recrawl_winners(
-    pages_path: str, n_buckets: int | None = None
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Driver-side view of pass A (the BROADCAST filter path).
-
-    Returns ``(winners, ties)``:
-      * winners: url -> max warc_ts (microseconds) for dup urls whose max
-        ts is UNIQUE — the in-stream broadcast filter handles these;
-      * ties: url -> max warc_ts for dup urls with >1 row AT the max ts
-        (impossible in WARC-style data, but the contract is one row per
-        url regardless) — resolved by ``resolve_tie_rows``.
-
-    The driver holds O(|dup urls|) (~5% of urls), never O(|urls|); at the
-    10^12-doc tier use the anti-join filter instead
-    (``ExtractConfig(loser_filter="antijoin")``), which never gathers
-    winners at all."""
-    winner_refs, ties = _split_winner_refs(pages_path, n_buckets)
-    return _gather_winners(winner_refs), ties
+    ties: dict[str, int] = {}
+    for f in ray.get(dup_refs):
+        for url, ts, n_at_max in zip(f["url"], f["max_ts"], f["n_at_max"]):
+            # a max ts held by more than one row is a tie
+            (ties if n_at_max > 1 else winners)[url] = int(ts)
+    return winners, ties
 
 
 def resolve_tie_rows(
@@ -353,41 +257,6 @@ def _winner_lookup(winners_ref):
     return st
 
 
-# shardmap memo: many small per-shard entries (O(one shard's dup urls))
-_SHARD_MAP_MEMO: dict = {}
-
-
-def _memo_small(ref, build, cap: int = 1024):
-    key = ref.hex()
-    st = _SHARD_MAP_MEMO.get(key)
-    if st is None:
-        if len(_SHARD_MAP_MEMO) >= cap:
-            _SHARD_MAP_MEMO.pop(next(iter(_SHARD_MAP_MEMO)))
-        st = _SHARD_MAP_MEMO[key] = build()
-    return st
-
-
-def _shard_map_lookup(ref):
-    import pandas as pd
-    import ray
-
-    def build():
-        f = ray.get(ref)
-        return (
-            pd.Index(f["url"]),
-            f["max_ts"].to_numpy().astype(np.int64),
-        )
-
-    return _memo_small(ref, build)
-
-
-def _tie_lookup(ties_ref):
-    import pandas as pd
-    import ray
-
-    return _memo_small(ties_ref, lambda: pd.Index(sorted(ray.get(ties_ref))))
-
-
 def _keep_mask(urls, ts, idx, wts, tie_idx):
     """Vectorized winner probe: keep rows that are not recrawl losers and
     not tie urls (ties re-enter via the deterministic side table)."""
@@ -403,79 +272,6 @@ def _keep_mask(urls, ts, idx, wts, tie_idx):
     if len(tie_idx):
         keep &= tie_idx.get_indexer(urls) < 0
     return keep
-
-
-def _antijoin_losers(ds, winner_refs, tie_urls: frozenset, n_buckets: int | None = None):
-    """The 10^12-scale loser filter: hash(url)-bucketed ANTI-join of the
-    page stream against the DISTRIBUTED winner table — the winner side is
-    never gathered to the driver or broadcast (VERDICT r2 "What's missing"
-    #2). Cost model: the page payloads cross ONE exchange partitioned by
-    crc32(url); right when the dup-url map no longer fits a broadcast
-    (past ~10^9 urls), wrong below it (the broadcast path moves nothing).
-    Tie urls (tiny by contract) still ride a broadcast set."""
-    import pandas as pd
-    import ray
-    import ray.data
-
-    n_buckets = _scale.resolve(n_buckets)
-    ties_ref = ray.put(tie_urls)
-    winners_ds = ray.data.from_pandas_refs(list(winner_refs))
-
-    page_cols = ["url", "warc_ts", "html", "lang", "partition_id"]
-
-    def bucket_of(urls: pd.Series) -> np.ndarray:
-        # vectorized deterministic string hash — the only requirement is
-        # that BOTH sides of the exchange agree (no per-row Python loop in
-        # the corpus-sized path)
-        h = pd.util.hash_array(urls.to_numpy(dtype=object))
-        return (h % np.uint64(n_buckets)).astype(np.int64)
-
-    def prep_pages(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch[page_cols].copy()
-        b["__max_ts"] = pd.Series(pd.NA, index=b.index, dtype="Int64")
-        b["__bucket"] = bucket_of(b["url"])
-        b["__side"] = np.int8(0)
-        return b
-
-    def prep_winners(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
-            {
-                "url": batch["url"].astype(str),
-                "warc_ts": pd.Series(
-                    pd.NaT, index=batch.index, dtype="datetime64[us]"
-                ),
-                "html": pd.Series(None, index=batch.index, dtype="object"),
-                "lang": pd.Series(None, index=batch.index, dtype="object"),
-                "partition_id": pd.Series(
-                    pd.NA, index=batch.index, dtype="Int64"
-                ),
-                "__max_ts": batch["max_ts"].astype("Int64"),
-            }
-        )
-        b["__bucket"] = bucket_of(b["url"])
-        b["__side"] = np.int8(1)
-        return b.reset_index(drop=True)
-
-    both = ds.map_batches(prep_pages, batch_format="pandas").union(
-        winners_ds.map_batches(prep_winners, batch_format="pandas")
-    )
-
-    def filter_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        ties = ray.get(ties_ref)
-        p = group[group["__side"] == 0][page_cols]
-        w = group[group["__side"] == 1][["url", "__max_ts"]]
-        j = p.merge(w, on="url", how="left")
-        ts = j["warc_ts"].astype("datetime64[us]").astype("int64")
-        keep = j["__max_ts"].isna() | (j["__max_ts"] == ts)
-        if ties:
-            keep &= ~j["url"].isin(ties)
-        out = j.loc[keep.to_numpy(), page_cols].reset_index(drop=True)
-        out["partition_id"] = out["partition_id"].astype("int64")
-        return out
-
-    return both.groupby("__bucket").map_groups(
-        filter_bucket, batch_format="pandas"
-    )
 
 
 def _shard_url_hashes_fn(path: str):
@@ -602,16 +398,14 @@ def extraction_dataset(
     skip_partitions: set[int] | None = None,
 ):
     """Build the extraction Dataset (lazy main pass; the tiny winner pass
-    executes eagerly at build time). The loser filter runs as a broadcast
-    probe (default below ``cfg.winner_broadcast_limit`` dup urls) or a
-    hash-bucketed distributed anti-join (``cfg.loser_filter`` forces
-    either)."""
+    executes eagerly at build time). Recrawl losers are dropped by a
+    vectorized probe of the broadcast winner map; PDFL/XLSL/DOCL payloads
+    decode inline in the same stateless task stage as the DOM strip."""
     import ray
     import ray.data
 
     cfg = cfg or ExtractConfig()
     _scale.hint_from_dir(pages_path)  # size-derived exchange fan-out
-    nb = _scale.resolve(None)
     shards = list_shards(pages_path)
     shard_of = {path: i for i, path in enumerate(shards)}
     todo = [
@@ -620,23 +414,10 @@ def extraction_dataset(
         if not skip_partitions or shard_of[p] not in skip_partitions
     ]
 
-    per_shard, winner_refs, ties, n_dup = _winner_pass(pages_path, nb)
-    mode = cfg.loser_filter
-    if mode == "auto":
-        mode = (
-            "broadcast" if n_dup <= cfg.winner_broadcast_limit else "shardmap"
-        )
+    winners, ties = compute_recrawl_winners(pages_path)
     tie_table = resolve_tie_rows(pages_path, ties)
     shard_ref = ray.put(shard_of)
-
-    winners_ref = None
-    shard_maps = None
-    ties_ref = None
-    if mode == "broadcast":
-        winners_ref = ray.put((_gather_winners(winner_refs), frozenset(ties)))
-    elif mode == "shardmap":
-        shard_maps = _shard_winner_maps(per_shard, winner_refs, n_buckets=nb)
-        ties_ref = ray.put(frozenset(ties))
+    winners_ref = ray.put((winners, frozenset(ties)))
 
     ds = ray.data.read_parquet(
         todo, columns=["url", "warc_ts", "html", "lang"], include_paths=True
@@ -654,32 +435,15 @@ def extraction_dataset(
         batch = batch.append_column(
             "partition_id", pa.array(pids, type=pa.int64())
         ).drop_columns(["path"])
-        if winners_ref is not None:
-            idx, wts, tie_idx = _winner_lookup(winners_ref)
-            urls = pd.Index(batch["url"].to_pylist())
-            ts = batch["warc_ts"].cast(pa.int64()).to_numpy()
-            # losers out; tie urls are dropped ENTIRELY here (their single
-            # deterministic winner re-enters via the side table below)
-            keep = _keep_mask(urls, ts, idx, wts, tie_idx)
-            return batch.filter(pa.array(keep))
-        if shard_maps is not None:
-            # shardmap: probe each row against ITS OWN shard's winner
-            # restriction — the worker fetches only the maps of shards its
-            # batches actually came from, never the global table
-            tie_idx = _tie_lookup(ties_ref)
-            urls = pd.Index(batch["url"].to_pylist())
-            ts = batch["warc_ts"].cast(pa.int64()).to_numpy()
-            keep = np.ones(len(urls), dtype=bool)
-            for pid in np.unique(pids):
-                m = pids == pid
-                idx, wts = _shard_map_lookup(shard_maps[pid])
-                keep[m] = _keep_mask(urls[m], ts[m], idx, wts, tie_idx)
-            return batch.filter(pa.array(keep))
-        return batch  # anti-join stage filters downstream
+        idx, wts, tie_idx = _winner_lookup(winners_ref)
+        urls = pd.Index(batch["url"].to_pylist())
+        ts = batch["warc_ts"].cast(pa.int64()).to_numpy()
+        # losers out; tie urls are dropped ENTIRELY here (their single
+        # deterministic winner re-enters via the side table below)
+        keep = _keep_mask(urls, ts, idx, wts, tie_idx)
+        return batch.filter(pa.array(keep))
 
     ds = ds.map_batches(tag_and_filter, batch_format="pyarrow")
-    if mode == "antijoin":
-        ds = _antijoin_losers(ds, winner_refs, frozenset(ties))
     if tie_table is not None and tie_table.num_rows:
         # only tie winners whose shard is in this run (resume skips the rest)
         if skip_partitions:
@@ -691,42 +455,19 @@ def extraction_dataset(
         if tie_table.num_rows:
             ds = ds.union(ray.data.from_arrow(tie_table))
     if cfg.heavy_bytes:
-        from .ops import isolate_heavy
-
         hb = cfg.heavy_bytes
         ds = ds.map_batches(
             lambda b: isolate_heavy(b, hb),
             batch_format="pyarrow",
             batch_size=cfg.batch_size,
         )
-    if cfg.use_layout_actors:
-        # stage 1: stateless DOM strip / sniff (PDFL rows deferred), then
-        # stage 2: stateful layout/"OCR" parse on a warm actor pool. NOTE:
-        # Ray fuses the task stage into the actor operator — everything
-        # flows through the pool; use only with a generous
-        # layout_concurrency and a genuinely heavy parse engine (see
-        # ExtractConfig.use_layout_actors).
-        ds = ds.map_batches(
-            lambda b: extract_batch(b, cfg, parse_pdfl_inline=False),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
-        ds = ds.map_batches(
-            LayoutParse,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=cfg.layout_batch_size,
-            concurrency=cfg.layout_concurrency,
-        )
-        return ds
-    # default: one stateless task stage does DOM strip AND the (cheap)
-    # PDFL decode inline — elastic tasks, no pool cap on throughput
-    ds = ds.map_batches(
-        lambda b: extract_batch(b, cfg).drop_columns(["payload"]),
+    # one stateless task stage does DOM strip AND the (cheap) PDFL decode
+    # inline — elastic tasks, no pool cap on throughput
+    return ds.map_batches(
+        lambda b: extract_batch(b, cfg),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     )
-    return ds
 
 
 def run_extraction(

@@ -122,7 +122,7 @@ def reextract_url(
     if best is None:
         raise KeyError(f"url not found in input: {url}")
     ts, payload = best
-    doc_type, text, spans, ocr, fail, err, _ = _extract_one(url, payload, cfg)
+    doc_type, text, spans, ocr, fail, err = _extract_one(url, payload, cfg)
     return {
         "url": url,
         "warc_ts": ts,
@@ -421,8 +421,8 @@ def neardup_prune(
     driver gather; it broadcasts once as a sorted numpy array via
     ``ray.put`` (zero-copy shared memory per node) and each rewrite
     batch filters via searchsorted. Above ``loser_vector_cap`` (1.6 GB
-    of ids) this raises rather than silently thrash — at that scale the
-    rewrite belongs on the flagship's shardmap spill mode.
+    of ids) this raises rather than silently thrash: the rewrite has no
+    distributed loser path, so such a corpus is out of its range.
 
     Phase 2 (the rewrite): stream EVERY corpus column, drop loser urls,
     publish via the compact_output tmp+rename discipline — a crash
@@ -489,7 +489,8 @@ def neardup_prune(
     if len(losers) > loser_vector_cap:
         raise ValueError(
             f"{len(losers)} losers exceed the broadcast-vector cap "
-            f"({loser_vector_cap}); use the flagship shardmap spill mode"
+            f"({loser_vector_cap}); neardup_prune broadcasts every loser id "
+            "and has no distributed loser path for a corpus this large"
         )
     losers_sorted = np.sort(losers)
     losers_ref = ray.put(losers_sorted)

@@ -138,11 +138,17 @@ def test_cli_cluster(cli_out, capsys, tmp_path):
 
 
 def test_cli_query_stats_flag(capsys):
-    assert main(
-        ["query", "doc_token_counts", "--sf-dir", "/root/testdata/sf0.001",
-         "--limit", "2", "--stats"]
-    ) == 0
-    captured = capsys.readouterr()
-    rows = [json.loads(l) for l in captured.out.strip().splitlines()]
-    assert len(rows) == 2
-    assert "Operator" in captured.err  # per-stage execution stats printed
+    # a Dataset result prints Ray's per-stage stats (its "Operator" lines);
+    # a driver-side (pandas) result prints a notice instead
+    for name, n_rows, err in (
+        ("doc_token_counts", 2, "Operator"),
+        ("emb_pca_agreement", 1, "stats unavailable: driver-side query result"),
+    ):
+        assert main(
+            ["query", name, "--sf-dir", "/root/testdata/sf0.001",
+             "--limit", "2", "--stats"]
+        ) == 0
+        captured = capsys.readouterr()
+        rows = [json.loads(l) for l in captured.out.strip().splitlines()]
+        assert len(rows) == n_rows
+        assert err in captured.err

@@ -64,7 +64,7 @@ def test_detect_and_extract_route():
 
     payload = encode_docl([["routed through the docl extractor correctly"]])
     assert detect_type(payload) == DOC_TYPE_DOCL
-    doc_type, text, spans, ocr, fail, err, _ = _extract_one(
+    doc_type, text, spans, ocr, fail, err = _extract_one(
         "https://x.example/d", payload, ExtractConfig()
     )
     assert doc_type == DOC_TYPE_DOCL
@@ -72,7 +72,7 @@ def test_detect_and_extract_route():
     assert not ocr and not fail and err == ""
 
     # empty docl document -> the reference's empty-extraction sentinel
-    doc_type, text, _, _, fail, err, _ = _extract_one(
+    doc_type, text, _, _, fail, err = _extract_one(
         "https://x.example/e", encode_docl([[]]), ExtractConfig()
     )
     assert text.startswith("[ERRO:") and not fail and err == "empty extraction"

@@ -165,7 +165,7 @@ def test_bom_prefixed_html():
     )
     assert payload[:3] == b"\xef\xbb\xbf"
     assert detect_type(payload) == "html"
-    _, text, _, _, fail, _, _ = _extract_one("u", payload, ExtractConfig())
+    _, text, _, _, fail, _ = _extract_one("u", payload, ExtractConfig())
     assert not fail
     assert text == "BOM page content paragraph long enough to extract."
 

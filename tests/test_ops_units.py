@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 
 from rayxtract.extract_fields import extract_value_from_text, format_response
-from rayxtract.ops import detect_type, partition_of
+from rayxtract.ops import detect_type
 from rayxtract.textops import LangIdBatch, add_fingerprints, add_quality_counts, add_token_counts
 
 
@@ -115,16 +115,6 @@ def test_detect_type():
     assert detect_type(b"<p>x</p>") == "html"
     assert detect_type(b"\xff\xfegarbage") == "garbage"
     assert detect_type(b"") == "garbage"
-
-
-def test_partition_of_stable():
-    # crc32-based: must be stable across runs/processes (checkpoint identity)
-    assert partition_of("https://a.example/x", 64) == partition_of(
-        "https://a.example/x", 64
-    )
-    assert partition_of("https://a.example/x", 64) < 64
-    vals = {partition_of(f"u{i}", 16) for i in range(200)}
-    assert len(vals) == 16  # spreads
 
 
 # --- neardup (Ray-backed) --------------------------------------------------
@@ -432,21 +422,21 @@ def test_gzip_transparent_decompression():
         b"as the main article body of this document.</p></div></body></html>"
     )
     gz = gzip.compress(html, mtime=0)
-    doc_type, text, _, _, fail, err, _ = _extract_one(
+    doc_type, text, _, _, fail, err = _extract_one(
         "https://x.example/gz", gz, ExtractConfig()
     )
     assert doc_type == "html" and not fail and err == ""
     assert text.startswith("Gzipped page content")
 
     # corrupt member -> parse-failure sentinel
-    doc_type, text, _, _, fail, err, _ = _extract_one(
+    doc_type, text, _, _, fail, err = _extract_one(
         "https://x.example/bad", gz[:10] + b"\x00\x01", ExtractConfig()
     )
     assert doc_type == "garbage" and fail and "gzip" in err
 
     # decompression bomb guard: inner bytes above max_bytes -> sentinel
     big = gzip.compress(b"<p>" + b"a" * 2000 + b"</p>", mtime=0)
-    doc_type, _, _, _, fail, err, _ = _extract_one(
+    doc_type, _, _, _, fail, err = _extract_one(
         "https://x.example/bomb", big, ExtractConfig(max_bytes=1000)
     )
     assert fail and "decompressed payload exceeds" in err

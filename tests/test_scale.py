@@ -218,6 +218,33 @@ def test_bucketed_join_large_int_keys_lossless(ray_session):
     assert out2["rv"].tolist() == ["a"]
 
 
+def test_bucketed_join_null_int_key_names_nulls(ray_session):
+    """A nullable-Int64 key holding NA reaches the bucketing step as
+    float64 + NaN; the join must fail naming the null keys, not an
+    'unsupported dtype float64'."""
+    import pandas as pd
+    import ray.data
+
+    from rayxtract.joins import bucketed_join
+
+    L = ray.data.from_pandas(
+        pd.DataFrame(
+            {
+                "k": pd.array([2**60 + 7, None], dtype="Int64"),
+                "lv": pd.array([1, 2], dtype="Int64"),
+            }
+        )
+    )
+    R = ray.data.from_pandas(
+        pd.DataFrame(
+            {"rk": pd.Series([2**60 + 7], dtype="int64"), "rv": ["a"]}
+        )
+    )
+    with pytest.raises(Exception, match="null join keys") as ei:
+        bucketed_join(L, R, "k", "rk").materialize()
+    assert "unsupported join key dtype" not in str(ei.value)
+
+
 def test_asof_join_large_int_keys_lossless(ray_session):
     """Same 2**53 regression for the as-of exchange."""
     import pandas as pd
