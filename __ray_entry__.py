@@ -33,7 +33,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from rayxtract.queries import ORACLE_SQL
+    from rayxtract.queries import oracle_sql_for
 
     # pages_* oracles read the deterministic synth corpus parquet directly;
     # make sure the sf0.01-tier corpus exists before DuckDB needs it (no-op
@@ -52,4 +52,4 @@ def oracle_sql() -> dict[str, str]:
             ensure_media_corpus(500)  # sf0.01 tier: 10_000 // 20
     except Exception:
         pass
-    return dict(ORACLE_SQL)
+    return oracle_sql_for("/root/testdata/sf0.01")

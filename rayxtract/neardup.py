@@ -111,60 +111,6 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     return partial.groupby("fp").aggregate(Min(id_col, alias_name=id_col))
 
 
-def _validate_spill_params(spill_dir: str, params: dict | None) -> None:
-    """Guard against serving a spill cache built with DIFFERENT operator
-    parameters (correctness would otherwise rest on every caller
-    hand-encoding every parameter into the directory name). A published
-    cache with no _PARAMS.json predates this check and is accepted."""
-    import json
-    import os
-
-    if not params:
-        return
-    pfile = os.path.join(spill_dir, "_PARAMS.json")
-    if os.path.exists(pfile):
-        with open(pfile) as f:
-            found = json.load(f)
-        if found != params:
-            raise ValueError(
-                f"spill cache {spill_dir} was built with {found}, "
-                f"requested {params} — use a distinct spill dir per "
-                "parameter set"
-            )
-
-
-def _spill_and_reread(ds, spill_dir: str, params: dict | None = None):
-    """Write a Dataset to parquet once (marker-gated, publish-race
-    tolerant) and return a fresh read of it — the disk-backed alternative
-    to pinning a large intermediate in the object store. ``params``
-    records the operator parameters inside the published dir and is
-    validated on every cache hit."""
-    import json
-    import os
-    import shutil
-
-    import ray.data
-
-    marker = os.path.join(spill_dir, "_SPILL_COMPLETE")
-    if not os.path.exists(marker):
-        tmp = f"{spill_dir}.tmp.{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        if params:
-            with open(os.path.join(tmp, "_PARAMS.json"), "w") as f:
-                json.dump(params, f)
-        with open(os.path.join(tmp, "_SPILL_COMPLETE"), "w") as f:
-            f.write("ok\n")
-        try:
-            os.rename(tmp, spill_dir)
-        except OSError:  # lost a publish race — trust the winner
-            shutil.rmtree(tmp, ignore_errors=True)
-            if not os.path.exists(marker):
-                raise RuntimeError(f"spill publish failed for {spill_dir}") from None
-    _validate_spill_params(spill_dir, params)
-    return ray.data.read_parquet(spill_dir, file_extensions=["parquet"])
-
-
 # ---------------------------------------------------------------------------
 # MinHash + LSH
 
@@ -384,8 +330,7 @@ def minhash_candidate_pairs(
     seed: int = 7,
     bucket_size_cap: int = _BUCKET_SIZE_CAP,
     bucket_max_reps: int = _BUCKET_MAX_REPS,
-    sig_spill_dir: str | None = None,
-    est_spill_dir: str | None = None,
+    cache: tuple[str, list] | None = None,
 ):
     """Verified near-duplicate pairs (doc_a < doc_b, jaccard_est >= thr).
 
@@ -400,35 +345,37 @@ def minhash_candidate_pairs(
     The signature table is reused twice (banding + verification joins).
     By default it is pinned via ``materialize()`` — fine while
     num_perm x 8 B/doc fits the cluster object store. Past that
-    (multi-TB at 10^10 docs), pass ``sig_spill_dir``: signatures are
-    written to parquet once (marker-gated, race-tolerant) and re-read,
-    matching the corpus-spill pattern of q_pages_neardup_exact
-    (VERDICT r2 "What's wrong" #5).
+    (multi-TB at 10^10 docs), pass ``cache=(root, inputs)`` — the
+    :func:`rayxtract.artifact.artifact_dir` corpus root and the inputs
+    ``ds`` derives from: signatures are written to parquet once
+    (marker-gated, race-tolerant) and re-read, matching the corpus-spill
+    pattern of q_pages_neardup_exact (VERDICT r2 "What's wrong" #5).
 
-    ``est_spill_dir`` caches the THRESHOLD-INDEPENDENT estimated pair set
-    (doc_a, doc_b, jaccard_est for every LSH candidate): the entire
+    The same ``cache`` also keeps the THRESHOLD-INDEPENDENT estimated pair
+    set (doc_a, doc_b, jaccard_est for every LSH candidate): the entire
     signature + banding + bucket-groupby + re-join chain is skipped on a
     cache hit and only the final threshold filter runs — callers that
     differ only in ``jaccard_threshold`` (pages_neardup_pairs at 0.45 vs
     pages_neardup_exact at 0.35) share one computation per corpus. The
     cache is candidate-pair-sized (LSH-collided pairs, already hot-bucket
-    capped), not corpus-sized.
+    capped), not corpus-sized. Every other parameter is in the keys.
     """
-    import os
-
     import ray.data
 
+    from .artifact import artifact_dir, published, spill_and_reread
     from .joins import bucketed_join
 
-    est_params = {
-        "kind": "minhash_est",
-        "num_perm": num_perm,
-        "n_bands": n_bands,
-        "seed": seed,
-        "size_cap": bucket_size_cap,
-        "max_reps": bucket_max_reps,
-    }
-    sig_params = {"kind": "minhash_sigs", "num_perm": num_perm, "seed": seed}
+    if cache:
+        root, inputs = cache
+        sig_dir = artifact_dir(
+            root, "minhash_sigs", {"num_perm": num_perm, "seed": seed}, inputs
+        )
+        est_dir = artifact_dir(
+            root, "minhash_est",
+            {"n_bands": n_bands, "size_cap": bucket_size_cap,
+             "max_reps": bucket_max_reps},
+            [sig_dir],
+        )
 
     def _thresholded(est_ds):
         def filt(batch: pd.DataFrame) -> pd.DataFrame:
@@ -436,12 +383,9 @@ def minhash_candidate_pairs(
 
         return est_ds.map_batches(filt, batch_format="pandas")
 
-    if est_spill_dir and os.path.exists(
-        os.path.join(est_spill_dir, "_SPILL_COMPLETE")
-    ):
-        _validate_spill_params(est_spill_dir, est_params)
+    if cache and published(est_dir):
         return _thresholded(
-            ray.data.read_parquet(est_spill_dir, file_extensions=["parquet"])
+            ray.data.read_parquet(est_dir, file_extensions=["parquet"])
         )
 
     sigs = ds.map_batches(
@@ -451,7 +395,7 @@ def minhash_candidate_pairs(
         concurrency=(1, 8),
         batch_size=256,
     )
-    if sig_spill_dir:
+    if cache:
         # spill as PLAIN arrow list<int64>: pandas-block ndarray columns
         # write parquet with tensor-extension pandas metadata that
         # poisons to_pandas() on read-back (np.dtype("numpy.ndarray(...)"))
@@ -471,10 +415,8 @@ def minhash_candidate_pairs(
                 }
             )
 
-        sigs = _spill_and_reread(
-            sigs.map_batches(_sig_arrow, batch_format="pandas"),
-            sig_spill_dir,
-            params=sig_params,
+        sigs = spill_and_reread(
+            sigs.map_batches(_sig_arrow, batch_format="pandas"), sig_dir
         )
     else:
         sigs = sigs.materialize()
@@ -541,8 +483,8 @@ def minhash_candidate_pairs(
         )
 
     est = with_ab.map_batches(estimate, batch_format="pandas")
-    if est_spill_dir:
-        est = _spill_and_reread(est, est_spill_dir, params=est_params)
+    if cache:
+        est = spill_and_reread(est, est_dir)
     return _thresholded(est)
 
 

@@ -472,20 +472,21 @@ def _newest_mtime(path: str) -> float:
 
 def _sweep_stale_scratch(max_age_sec: float = 3600.0) -> None:
     """Remove orphaned per-pid scratch dirs (``.tmp.<pid>`` / ``.claim.<pid>``
-    from crashed generators, plus neardup-spill tmp dirs) whose NEWEST
-    content is older than ``max_age_sec`` — a live competitor still
-    writing files anywhere in the tree is never touched (ADVICE r2,
-    synth.py:524)."""
+    from crashed generators, plus artifact tmp dirs one level down in
+    ``{root}.{op}/``) whose NEWEST content is older than ``max_age_sec`` —
+    a live competitor still writing files anywhere in the tree is never
+    touched (ADVICE r2, synth.py:524)."""
+    import glob
     import shutil
     import time
 
-    if not os.path.isdir(_CACHE_ROOT):
-        return
     cutoff = time.time() - max_age_sec
-    for name in os.listdir(_CACHE_ROOT):
+    for path in glob.glob(os.path.join(_CACHE_ROOT, "*")) + glob.glob(
+        os.path.join(_CACHE_ROOT, "*.*", "*.tmp.*")
+    ):
+        name = os.path.basename(path)
         if ".tmp." not in name and ".claim." not in name:
             continue
-        path = os.path.join(_CACHE_ROOT, name)
         try:
             if _newest_mtime(path) < cutoff:
                 shutil.rmtree(path, ignore_errors=True)

@@ -208,7 +208,7 @@ def compact_output(
     n = ds.count()
     files_before = _count_parquet(out_dir)
     n_blocks = max(1, math.ceil(n / max(1, target_rows_per_file)))
-    # write-to-tmp + atomic rename (the _spill_and_reread publish
+    # write-to-tmp + atomic rename (the artifact.spill_and_reread publish
     # discipline): a re-run must not append duplicate files into a
     # previously-published dest, and a crash mid-write must not leave a
     # partial dest that looks complete

@@ -83,9 +83,9 @@ def test_exact_jaccard_verify(small_corpus):
 
 
 def test_minhash_est_spill_cache_equivalence(small_corpus, tmp_path):
-    """The est_spill_dir cache path returns the SAME pairs as the direct
-    computation, for a threshold different from the one that built the
-    cache (the cached estimate table is threshold-independent)."""
+    """The cached path returns the SAME pairs as the direct computation,
+    for a threshold different from the one that built the cache (the
+    cached estimate table is threshold-independent)."""
     import pandas as pd
 
     from rayxtract.neardup import minhash_candidate_pairs
@@ -108,16 +108,16 @@ def test_minhash_est_spill_cache_equivalence(small_corpus, tmp_path):
         df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
         return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
-    est_dir = str(tmp_path / "est_cache")
+    cache = (str(tmp_path / "c"), [pages_dir])
     # build the cache at threshold 0.45 ...
     cold = canon(
-        minhash_candidate_pairs(docs, jaccard_threshold=0.45, est_spill_dir=est_dir)
+        minhash_candidate_pairs(docs, jaccard_threshold=0.45, cache=cache)
     )
     direct = canon(minhash_candidate_pairs(docs, jaccard_threshold=0.45))
     pd.testing.assert_frame_equal(cold, direct)
     # ... and serve a DIFFERENT threshold from it
     warm_035 = canon(
-        minhash_candidate_pairs(docs, jaccard_threshold=0.35, est_spill_dir=est_dir)
+        minhash_candidate_pairs(docs, jaccard_threshold=0.35, cache=cache)
     )
     direct_035 = canon(minhash_candidate_pairs(docs, jaccard_threshold=0.35))
     pd.testing.assert_frame_equal(warm_035, direct_035)
@@ -125,10 +125,9 @@ def test_minhash_est_spill_cache_equivalence(small_corpus, tmp_path):
 
 
 def test_minhash_est_spill_rejects_mismatched_params(small_corpus, tmp_path):
-    """A cache built with one LSH parameter set must not silently serve a
-    request with different parameters."""
+    """A cache built with one LSH parameter set must not serve a request
+    with different parameters: those are another key, computed afresh."""
     import pandas as pd
-    import pytest
 
     from rayxtract.neardup import minhash_candidate_pairs
     from rayxtract.ops import ExtractConfig
@@ -144,10 +143,17 @@ def test_minhash_est_spill_rejects_mismatched_params(small_corpus, tmp_path):
             }
         ),
         batch_format="pandas",
+    ).materialize()  # three runs below: extract once
+
+    def canon(res):
+        df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
+        return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+    cache = (str(tmp_path / "c"), [pages_dir])
+    p64 = canon(minhash_candidate_pairs(docs, jaccard_threshold=0.45, cache=cache))
+    p128 = canon(
+        minhash_candidate_pairs(docs, jaccard_threshold=0.45, cache=cache, num_perm=128)
     )
-    est_dir = str(tmp_path / "est")
-    minhash_candidate_pairs(docs, jaccard_threshold=0.45, est_spill_dir=est_dir)
-    with pytest.raises(ValueError, match="built with"):
-        minhash_candidate_pairs(
-            docs, jaccard_threshold=0.45, est_spill_dir=est_dir, num_perm=128
-        )
+    direct = canon(minhash_candidate_pairs(docs, jaccard_threshold=0.45, num_perm=128))
+    pd.testing.assert_frame_equal(p128, direct)
+    assert not p64.equals(p128)

@@ -1,9 +1,10 @@
-"""Spill-cache discipline (VERDICT r3 next #5/#8): the marker-gated
+"""Artifact-cache discipline (VERDICT r3 next #5/#8): the marker-gated
 parquet spill must (a) serve byte-identical data on cold build and warm
-hit, (b) reject a cache built with different operator parameters, (c)
-survive a mid-publish kill — a crashed writer leaves NO readable cache
-and the next run recomputes from scratch — and (d) back the embedding
-fixpoints without pinning the table in the object store."""
+hit, (b) miss — and rebuild from the real input — when the params, an
+input shard or the package source change the content key, (c) survive a
+mid-publish kill — a crashed writer leaves NO readable cache and the next
+run recomputes from scratch — and (d) back the embedding fixpoints
+without pinning the table in the object store."""
 
 import os
 import shutil
@@ -15,67 +16,166 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
 
 
-def _fresh_dir(name: str) -> str:
-    d = f"/tmp/rayxtract_spill_test_{name}"
-    shutil.rmtree(d, ignore_errors=True)
-    for stale in __import__("glob").glob(f"{d}.tmp.*"):
-        shutil.rmtree(stale, ignore_errors=True)
-    return d
-
-
-def test_spill_cold_and_warm_identity(ray_session):
+def test_spill_cold_and_warm_identity(ray_session, tmp_path):
     import ray.data
 
-    from rayxtract.neardup import _spill_and_reread
+    from rayxtract.artifact import artifact_dir, published, spill_and_reread
 
     df = pd.DataFrame(
         {"k": np.arange(500, dtype="int64"), "v": np.arange(500, dtype="int64") * 7}
     )
-    spill = _fresh_dir("identity")
-    params = {"op": "t", "ver": 1}
+    root = str(tmp_path / "c")
+    spill = artifact_dir(root, "t", {"ver": 1}, [])
     cold = (
-        _spill_and_reread(ray.data.from_pandas(df).repartition(4), spill, params)
+        spill_and_reread(ray.data.from_pandas(df).repartition(4), spill)
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
-    assert os.path.exists(os.path.join(spill, "_SPILL_COMPLETE"))
+    assert published(spill)
     # warm hit: the input dataset is NOT re-executed (feed a poisoned one)
     def boom(_b):
         raise RuntimeError("cache miss executed the input")
 
     poisoned = ray.data.from_pandas(df).map_batches(boom, batch_format="pandas")
     warm = (
-        _spill_and_reread(poisoned, spill, params)
+        spill_and_reread(poisoned, spill)
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(cold, warm)
     pd.testing.assert_frame_equal(cold, df)
-    # parameter mismatch must refuse the cache, not silently serve it
-    with pytest.raises(ValueError, match="built with"):
-        _spill_and_reread(poisoned, spill, {"op": "t", "ver": 2})
-    shutil.rmtree(spill, ignore_errors=True)
+    # other params are another key: the cache is not served, the real
+    # input is executed (the poisoned one shows it) and rebuilds it
+    other = artifact_dir(root, "t", {"ver": 2}, [])
+    assert other != spill
+    with pytest.raises(Exception, match="cache miss executed the input"):
+        spill_and_reread(poisoned, other)
+    rebuilt = (
+        spill_and_reread(ray.data.from_pandas(df * 2), other)
+        .to_pandas().sort_values("k").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(rebuilt, df * 2)
 
 
-def test_spill_kill_mid_publish_recomputes(ray_session):
+@pytest.mark.parametrize("change", ["source", "shard_rewritten", "params"])
+def test_artifact_key_change_misses_and_replaces(
+    ray_session, tmp_path, monkeypatch, change
+):
+    """A changed source digest, an input shard rewritten in place (same
+    bytes, new mtime) or other params give a new key that misses the
+    cache; publishing it deletes the older sibling key dir but leaves an
+    in-flight ``.tmp.<pid>`` dir alone."""
+    import ray.data
+
+    from rayxtract import artifact
+
+    shard = str(tmp_path / "in.parquet")
+    pq.write_table(pa.table({"k": [1, 2, 3]}), shard)
+    root = str(tmp_path / "c")
+    monkeypatch.setattr(artifact, "source_digest", lambda: "src-1")
+    old = artifact.artifact_dir(root, "op", {"p": 1}, [shard])
+    assert artifact.artifact_dir(root, "op", {"p": 1}, [shard]) == old
+    df = pd.DataFrame({"k": np.arange(10, dtype="int64")})
+    artifact.spill_and_reread(ray.data.from_pandas(df), old)
+    inflight = os.path.join(os.path.dirname(old), "0123456789abcdef.tmp.99999")
+    os.makedirs(inflight)
+
+    params = {"p": 1}
+    if change == "source":
+        monkeypatch.setattr(artifact, "source_digest", lambda: "src-2")
+    elif change == "shard_rewritten":
+        st = os.stat(shard)
+        pq.write_table(pa.table({"k": [1, 2, 3]}), shard)
+        os.utime(shard, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    else:
+        params = {"p": 2}
+    new = artifact.artifact_dir(root, "op", params, [shard])
+    assert new != old and os.path.dirname(new) == os.path.dirname(old)
+    assert not artifact.published(new)
+    artifact.spill_and_reread(ray.data.from_pandas(df), new)
+    assert artifact.published(new)
+    assert not os.path.exists(old)
+    assert os.path.isdir(inflight)
+
+
+def test_copies_of_one_tier_do_not_share_caches(ray_session, tmp_path, monkeypatch):
+    """Two copies of one sf tier map to the same corpus root (the root is
+    a function of the tier name), so only the input fingerprint in the
+    artifact key tells their derived caches apart. Run on copy A and then
+    on an edited copy B under one cache root: BM25 must score B's
+    documents (DuckDB's oracle on B), and B's embedding spill must hold
+    B's rows."""
+    import duckdb
+
+    from rayxtract import synth
+    from rayxtract.queries import QUERIES, _emb_spilled, oracle_sql_for
+
+    monkeypatch.setattr(synth, "_CACHE_ROOT", str(tmp_path / "cache"))
+    a, b = str(tmp_path / "a" / "sf0.001"), str(tmp_path / "b" / "sf0.001")
+    for d in (a, b):
+        os.makedirs(d)
+        for t in ("documents", "embeddings"):
+            shutil.copyfile(f"{SF_DIR}/{t}.parquet", f"{d}/{t}.parquet")
+    docs = pq.read_table(f"{b}/documents.parquet").to_pandas()
+    docs["text"] = [
+        " ".join(w for w in t.split() if w not in ("merge", "vector"))
+        for t in docs["text"]
+    ]
+    pq.write_table(
+        pa.Table.from_pandas(docs, preserve_index=False), f"{b}/documents.parquet"
+    )
+    emb = pq.read_table(f"{b}/embeddings.parquet")
+    pq.write_table(emb.slice(0, emb.num_rows // 2), f"{b}/embeddings.parquet")
+
+    def topk(sf):
+        return (
+            QUERIES["doc_bm25_topk"](sf).to_pandas()
+            .sort_values(["score", "doc_id"], ascending=[False, True])
+            .reset_index(drop=True)
+        )
+
+    def emb_ids(sf):
+        return sorted(_emb_spilled(sf).to_pandas()["vec_id"].tolist())
+
+    got_a, got_b = topk(a), topk(b)
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{b}/documents.parquet')"
+    )
+    exp_b = (
+        con.execute(oracle_sql_for(b)["doc_bm25_topk"]).df()
+        .sort_values(["score", "doc_id"], ascending=[False, True])
+        .reset_index(drop=True)
+    )
+    con.close()
+    assert not got_a.equals(got_b)
+    pd.testing.assert_frame_equal(got_b, exp_b[got_b.columns], check_dtype=False)
+
+    assert len(emb_ids(a)) == emb.num_rows
+    assert emb_ids(b) == sorted(emb.slice(0, emb.num_rows // 2)["vec_id"].to_pylist())
+
+
+def test_spill_kill_mid_publish_recomputes(ray_session, tmp_path):
     """SIGKILL a writer mid-spill: the unpublished ``.tmp.<pid>`` dir must
     never be readable as a cache (no _SPILL_COMPLETE in the final path),
     and the next run recomputes and serves identical rows."""
     import ray.data
 
-    from rayxtract.neardup import _spill_and_reread
+    from rayxtract.artifact import artifact_dir, spill_and_reread
 
-    spill = _fresh_dir("kill")
+    spill = artifact_dir(str(tmp_path / "c"), "kill-probe", {}, [])
     script = textwrap.dedent(f"""
         import time
         import numpy as np, pandas as pd, ray
         ray.init(address="local", num_cpus=2, include_dashboard=False,
                  logging_level="ERROR")
         import ray.data
-        from rayxtract.neardup import _spill_and_reread
+        from rayxtract.artifact import spill_and_reread
 
         df = pd.DataFrame({{"k": np.arange(400, dtype="int64")}})
 
@@ -86,7 +186,7 @@ def test_spill_kill_mid_publish_recomputes(ray_session):
         ds = ray.data.from_pandas(df).repartition(16).map_batches(
             slow, batch_format="pandas")
         print("SPILL_START", flush=True)
-        _spill_and_reread(ds, {spill!r}, params={{"op": "kill-probe"}})
+        spill_and_reread(ds, {spill!r})
         print("SPILL_DONE", flush=True)
     """)
     env = dict(os.environ, PYTHONPATH="/root/repo")
@@ -115,17 +215,11 @@ def test_spill_kill_mid_publish_recomputes(ray_session):
     # next run recomputes from the REAL input and serves identical rows
     df = pd.DataFrame({"k": np.arange(400, dtype="int64")})
     out = (
-        _spill_and_reread(
-            ray.data.from_pandas(df).repartition(4), spill,
-            params={"op": "kill-probe"},
-        )
+        spill_and_reread(ray.data.from_pandas(df).repartition(4), spill)
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, df)
     assert os.path.exists(os.path.join(spill, "_SPILL_COMPLETE"))
-    shutil.rmtree(spill, ignore_errors=True)
-    for stale in __import__("glob").glob(f"{spill}.tmp.*"):
-        shutil.rmtree(stale, ignore_errors=True)
 
 
 def test_emb_spill_serves_identical_table(ray_session):
