@@ -1,6 +1,4 @@
-"""Approximate-nearest-neighbor search over an embedding column.
-
-Two paths (SURVEY/driver mandate for training-data pipelines):
+"""Nearest-neighbor search and vector quantizers over an embedding column.
 
   * ``knn_bruteforce`` — exact cosine top-k: the query matrix is broadcast
     once via ``ray.put`` and every batch does one numpy matmul against it;
@@ -11,6 +9,11 @@ Two paths (SURVEY/driver mandate for training-data pipelines):
     sample (trained once, broadcast), every vector assigned to its nearest
     centroid partition; queries probe only ``nprobe`` partitions, so the
     scan touches a fraction of the corpus. Recall < 1.0 by design.
+  * ``kmeans_fit`` and ``pq_fit_codebooks`` — one distributed Lloyd loop
+    (``_lloyd``): codebooks broadcast once per round, one moment summary
+    per batch folded by ``agg.tree_reduce``; k-means is the one-subspace
+    case of product quantization. ``pca_fit`` folds its (n, sum x, X^T X)
+    moments through the same reduce.
 """
 
 from __future__ import annotations
@@ -100,23 +103,7 @@ def knn_ivf(
     centroid partitions per query. Returns (query_id, vec_id, cosine)."""
     import ray
 
-    # train coarse quantizer on a driver-side sample (small by
-    # construction; hash-ranked so the sampled SET is block-layout
-    # independent — Ray's random_sample seeds per task and would return
-    # different rows at different read parallelism)
-    sample = _hash_sample(ds, train_sample, seed, id_col, [id_col, vec_col])
-    mat = _unit(np.stack([np.asarray(r[vec_col]) for r in sample]).astype(np.float64))
-    rng = np.random.RandomState(seed)
-    cents = mat[rng.choice(len(mat), size=min(n_centroids, len(mat)), replace=False)]
-    for _ in range(8):  # fixed-round Lloyd on the sample
-        assign = np.argmax(mat @ cents.T, axis=1)
-        for c in range(cents.shape[0]):
-            members = mat[assign == c]
-            if len(members):
-                v = members.mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cents[c] = v / n
+    cents = _coarse_cells(ds, n_centroids, train_sample, seed, id_col, vec_col)
     cents_ref = ray.put(cents)
 
     q_unit = _unit(np.asarray(queries, dtype=np.float64))
@@ -192,15 +179,120 @@ def _hash_sample(ds, n: int, seed: int, id_col: str, columns: list[str]):
     return rows
 
 
+def _sample_matrix(ds, n: int, seed: int, id_col: str, vec_col: str) -> np.ndarray:
+    """The :func:`_hash_sample` vectors as one float64 (rows, d) matrix."""
+    sample = _hash_sample(ds, n, seed, id_col, [id_col, vec_col])
+    if not sample:
+        raise ValueError("cannot train on an empty input: it has no vectors")
+    return np.stack([np.asarray(r[vec_col]) for r in sample]).astype(np.float64)
+
+
+def _coarse_cells(ds, n_cells: int, train_sample: int, seed: int,
+                  id_col: str, vec_col: str) -> np.ndarray:
+    """Coarse IVF quantizer: fixed-round cosine Lloyd on a driver-side
+    sample (small by construction; hash-ranked so the sampled SET is
+    block-layout independent — Ray's random_sample seeds per task and
+    would return different rows at different read parallelism). Returns
+    unit-norm centroids, float64[min(n_cells, sample), d]."""
+    mat = _unit(_sample_matrix(ds, train_sample, seed, id_col, vec_col))
+    rng = np.random.RandomState(seed)
+    cents = mat[rng.choice(len(mat), size=min(n_cells, len(mat)), replace=False)]
+    for _ in range(8):
+        assign = np.argmax(mat @ cents.T, axis=1)
+        for c in range(cents.shape[0]):
+            members = mat[assign == c]
+            if len(members):
+                v = members.mean(axis=0)
+                n = np.linalg.norm(v)
+                if n > 0:
+                    cents[c] = v / n
+    return cents
+
+
+def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared L2 distances (n, k) via the expansion ||x||^2 - 2 x.c + ||c||^2."""
+    return (
+        (x * x).sum(axis=1)[:, None]
+        - 2.0 * (x @ c.T)
+        + (c * c).sum(axis=1)[None, :]
+    )
+
+
 def _kmeans_init(ds, k: int, seed: int, id_col: str, vec_col: str,
                  train_sample: int = 2048) -> np.ndarray:
     """Deterministic init: hash-ranked bounded sample (block-layout
     independent — see _hash_sample) -> k seeded picks."""
-    sample = _hash_sample(ds, train_sample, seed, id_col, [id_col, vec_col])
-    mat = np.stack([np.asarray(r[vec_col]) for r in sample]).astype(np.float64)
+    mat = _sample_matrix(ds, train_sample, seed, id_col, vec_col)
     rng = np.random.RandomState(seed)
     idx = rng.choice(len(mat), size=min(k, len(mat)), replace=False)
     return mat[idx].copy()
+
+
+def _train_input(ds, pin: bool, id_col: str, vec_col: str):
+    """The (id, vector) input every Lloyd fitter samples and scans.
+
+    ``pin=True`` materializes once up front: the init sample + every Lloyd
+    round would otherwise re-execute the input pipeline once each
+    (~n_iter+1 full re-reads). Pruned to (id, vector) BEFORE pinning so a
+    wide caller dataset never parks its payload columns in the object
+    store. ``pin=False`` for a DISK-BACKED input (a spilled-parquet read):
+    each round then streams from disk instead of holding the table in the
+    object store across rounds — the corpus-scale tradeoff."""
+    from ray.data.dataset import MaterializedDataset
+
+    if pin and not isinstance(ds, MaterializedDataset):
+        return ds.select_columns([id_col, vec_col]).materialize()
+    if not pin:
+        return ds.select_columns([id_col, vec_col])
+    return ds
+
+
+def _lloyd(ds, codebooks: list, width: int, n_iter: int, vec_col: str):
+    """Distributed Lloyd rounds over ``width``-column subspaces: subspace
+    ``s`` is columns ``[s * width, (s + 1) * width)`` and has codebook
+    ``codebooks[s]`` — one full-width codebook is plain k-means, several
+    are product quantization (Jegou et al. 2011), all fit with ONE corpus
+    scan per round.
+
+    Per round: the codebooks broadcast ONCE via ``ray.put`` (never
+    re-shipped per batch); every batch runs one (n, k) distance matmul
+    per subspace and emits per-subspace moments (counts[k],
+    sums[k, width], sse) — the vectors never leave their blocks; the
+    moments fold through :func:`agg.tree_reduce`, and the driver updates
+    the centroids. Empty clusters keep their previous centroid.
+
+    Updates ``codebooks`` in place and returns ``(codebooks, inertia)``,
+    the inertia being the last round's SSE summed over subspaces."""
+    import ray
+
+    from .agg import tree_reduce
+
+    def add(a: list, b: list) -> list:
+        return [tuple(u + v for u, v in zip(p, q)) for p, q in zip(a, b)]
+
+    inertia = float("nan")
+    for _ in range(n_iter):
+        ref = ray.put(codebooks)
+
+        def partial(batch: pd.DataFrame, _ref=ref) -> list:
+            x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
+            parts = []
+            for s, c in enumerate(ray.get(_ref)):
+                xs = x[:, s * width : (s + 1) * width]
+                d2 = _sq_dists(xs, c)
+                a = np.argmin(d2, axis=1)
+                counts = np.bincount(a, minlength=c.shape[0]).astype(np.int64)
+                sums = np.zeros_like(c)
+                np.add.at(sums, a, xs)
+                parts.append((counts, sums, float(d2[np.arange(len(xs)), a].sum())))
+            return parts
+
+        parts = tree_reduce(ds, partial, add)
+        for cb, (counts, sums, _) in zip(codebooks, parts):
+            nz = counts > 0
+            cb[nz] = sums[nz] / counts[nz, None]
+        inertia = sum(sse for _, _, sse in parts)
+    return codebooks, float(inertia)
 
 
 def kmeans_fit(
@@ -216,79 +308,19 @@ def kmeans_fit(
     corpus-clustering primitive (topic bucketing, diversity sampling,
     quality stratification of training data).
 
-    Per round: centroids broadcast ONCE via ``ray.put`` (never re-shipped
-    per batch), every batch computes nearest-centroid assignments with one
-    (n, k) distance matmul and emits ONE pickled moment partial
-    (counts[k], sums[k, d], sse) — k*(d+1)+1 floats, the corpus' vectors
-    never leave their blocks — partials merge through the same
-    repartition tree as ``pca_fit``, and the driver updates k*d floats.
-    Empty clusters keep their previous centroid. Driver traffic per round
-    is exactly one moment row; golden-tested against
-    :func:`kmeans_reference` (dense numpy, same init).
+    The one-subspace case of :func:`_lloyd`: per round one centroid
+    broadcast and one (counts[k], sums[k, d], sse) moment summary per
+    batch, so driver traffic per round is exactly one moment row.
+    Empty clusters keep their previous centroid. ``pin``: see
+    :func:`_train_input`. Golden-tested against :func:`kmeans_reference`
+    (dense numpy, same init).
 
     Returns ``(centroids: float64[k, d], inertia: float)``.
     """
-    import pickle
-
-    import ray
-
-    # one materialization up front: the init sample + every Lloyd round
-    # would otherwise re-execute the input pipeline once each (~n_iter+1
-    # full re-reads). Pruned to (id, vector) BEFORE pinning so a wide
-    # caller dataset never parks its payload columns in the object store.
-    # ``pin=False`` for a DISK-BACKED input (a spilled-parquet read):
-    # each round then streams from disk instead of holding the table in
-    # the object store across rounds — the corpus-scale tradeoff.
-    from ray.data.dataset import MaterializedDataset
-
-    if pin and not isinstance(ds, MaterializedDataset):
-        ds = ds.select_columns([id_col, vec_col]).materialize()
-    elif not pin:
-        ds = ds.select_columns([id_col, vec_col])
+    ds = _train_input(ds, pin, id_col, vec_col)
     cents = _kmeans_init(ds, k, seed, id_col, vec_col)
-    inertia = float("nan")
-    for _ in range(n_iter):
-        cents_ref = ray.put(cents)
-
-        def partial(batch: pd.DataFrame, _ref=cents_ref) -> pd.DataFrame:
-            c = ray.get(_ref)
-            x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
-            # squared L2 via the expansion: ||x||^2 - 2 x.c + ||c||^2
-            d2 = (
-                (x * x).sum(axis=1)[:, None]
-                - 2.0 * (x @ c.T)
-                + (c * c).sum(axis=1)[None, :]
-            )
-            assign = np.argmin(d2, axis=1)
-            counts = np.bincount(assign, minlength=c.shape[0]).astype(np.int64)
-            sums = np.zeros_like(c)
-            np.add.at(sums, assign, x)
-            sse = float(d2[np.arange(len(x)), assign].sum())
-            blob = pickle.dumps((counts, sums, sse))
-            return pd.DataFrame({"__m": pd.Series([blob], dtype="object")})
-
-        def merge(batch: pd.DataFrame) -> pd.DataFrame:
-            counts, sums, sse = pickle.loads(batch["__m"].iloc[0])
-            for blob in batch["__m"].iloc[1:]:
-                c2, s2, e2 = pickle.loads(blob)
-                counts, sums, sse = counts + c2, sums + s2, sse + e2
-            return pd.DataFrame(
-                {"__m": pd.Series([pickle.dumps((counts, sums, sse))],
-                                  dtype="object")}
-            )
-
-        rows = (
-            ds.map_batches(partial, batch_format="pandas")
-            .repartition(16)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .take_all()
-        )
-        counts, sums, inertia = pickle.loads(rows[0]["__m"])
-        nz = counts > 0
-        cents[nz] = sums[nz] / counts[nz, None]
-    return cents, float(inertia)
+    cbs, inertia = _lloyd(ds, [cents], cents.shape[1], n_iter, vec_col)
+    return cbs[0], inertia
 
 
 def kmeans_assign(
@@ -306,11 +338,7 @@ def kmeans_assign(
     def assign(batch: pd.DataFrame) -> pd.DataFrame:
         c = ray.get(c_ref)
         x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
-        d2 = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * (x @ c.T)
-            + (c * c).sum(axis=1)[None, :]
-        )
+        d2 = _sq_dists(x, c)
         a = np.argmin(d2, axis=1)
         return pd.DataFrame(
             {
@@ -361,8 +389,7 @@ def pq_init_codebooks(
     ``_hash_sample``), then a seeded pick per subspace from its slice.
     Shared by :func:`pq_fit_codebooks` and the dense agreement replay so
     both sides start from byte-identical centroids."""
-    sample = _hash_sample(ds, train_sample, seed, id_col, [id_col, vec_col])
-    mat = np.stack([np.asarray(r[vec_col]) for r in sample]).astype(np.float64)
+    mat = _sample_matrix(ds, train_sample, seed, id_col, vec_col)
     cbs = []
     for s in range(n_subs):
         sub = mat[:, s * width : (s + 1) * width]
@@ -384,78 +411,19 @@ def pq_fit_codebooks(
     pin: bool = False,
 ):
     """Fit ALL ``n_subs`` product-quantization codebooks (Jegou et al.
-    2011) with ONE corpus scan per Lloyd round: every batch slices its
-    vectors locally and emits a single pickled blob of per-subspace
-    moments (counts[k], sums[k, width] for each subspace — the vectors
-    never leave their blocks), the blobs merge through the same
-    repartition tree as :func:`kmeans_fit`, and the driver updates
-    ``n_subs * k * width`` floats per round. Fitting the subspaces
-    jointly amortizes the scan: 8 codebooks cost the same I/O as one
-    (vs 8 independent ``kmeans_fit`` calls = 8x the corpus reads).
-    Empty clusters keep their previous centroid — the same rule as the
-    dense replay in :func:`pq_reference_codebooks`.
+    2011) with ONE corpus scan per Lloyd round (:func:`_lloyd`): every
+    batch slices its vectors locally and emits one summary of
+    per-subspace moments, and the driver updates ``n_subs * k * width``
+    floats per round. Fitting the subspaces jointly amortizes the scan:
+    8 codebooks cost the same I/O as one (vs 8 independent
+    ``kmeans_fit`` calls = 8x the corpus reads). Empty clusters keep
+    their previous centroid — the same rule as the dense replay in
+    :func:`pq_reference_codebooks`. ``pin``: see :func:`_train_input`.
 
     Returns a list of ``float64[k, width]`` codebooks."""
-    import pickle
-
-    import ray
-    from ray.data.dataset import MaterializedDataset
-
-    if pin and not isinstance(ds, MaterializedDataset):
-        ds = ds.select_columns([id_col, vec_col]).materialize()
-    elif not pin:
-        ds = ds.select_columns([id_col, vec_col])
-    cbs = pq_init_codebooks(
-        ds, n_subs, width, k, seed, id_col, vec_col
-    )
-    for _ in range(n_iter):
-        ref = ray.put([c.copy() for c in cbs])
-
-        def partial(batch: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-            cl = ray.get(_ref)
-            x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
-            parts = []
-            for s, c in enumerate(cl):
-                xs = x[:, s * width : (s + 1) * width]
-                d2 = (
-                    (xs * xs).sum(axis=1)[:, None]
-                    - 2.0 * (xs @ c.T)
-                    + (c * c).sum(axis=1)[None, :]
-                )
-                a = np.argmin(d2, axis=1)
-                counts = np.bincount(a, minlength=c.shape[0]).astype(np.int64)
-                sums = np.zeros_like(c)
-                np.add.at(sums, a, xs)
-                parts.append((counts, sums))
-            return pd.DataFrame(
-                {"__m": pd.Series([pickle.dumps(parts)], dtype="object")}
-            )
-
-        def merge(batch: pd.DataFrame) -> pd.DataFrame:
-            parts = pickle.loads(batch["__m"].iloc[0])
-            for blob in batch["__m"].iloc[1:]:
-                p2 = pickle.loads(blob)
-                parts = [
-                    (c1 + c2, s1 + s2)
-                    for (c1, s1), (c2, s2) in zip(parts, p2)
-                ]
-            return pd.DataFrame(
-                {"__m": pd.Series([pickle.dumps(parts)], dtype="object")}
-            )
-
-        rows = (
-            ds.map_batches(partial, batch_format="pandas")
-            .repartition(16)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-            .take_all()
-        )
-        parts = pickle.loads(rows[0]["__m"])
-        for s, (counts, sums) in enumerate(parts):
-            nz = counts > 0
-            cbs[s][nz] = sums[nz] / counts[nz, None]
-    return cbs
+    ds = _train_input(ds, pin, id_col, vec_col)
+    cbs = pq_init_codebooks(ds, n_subs, width, k, seed, id_col, vec_col)
+    return _lloyd(ds, cbs, width, n_iter, vec_col)[0]
 
 
 def pq_reference_codebooks(
@@ -496,12 +464,7 @@ def pq_encode(
         x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
         pq = np.zeros(len(x), dtype=np.int64)
         for s, c in enumerate(cl):
-            xs = x[:, s * width : (s + 1) * width]
-            d2 = (
-                (xs * xs).sum(axis=1)[:, None]
-                - 2.0 * (xs @ c.T)
-                + (c * c).sum(axis=1)[None, :]
-            )
+            d2 = _sq_dists(x[:, s * width : (s + 1) * width], c)
             pq |= np.argmin(d2, axis=1).astype(np.int64) << np.int64(8 * s)
         out = {
             id_col: batch[id_col].astype("int64").values,
@@ -519,7 +482,7 @@ def pca_fit(ds, vec_col: str = "embedding", n_components: int = 8):
     reduction step before large-scale ANN indexing (OPQ/IVF preprocessing
     in Faiss-style stacks). Two-level moment reduction: every batch emits
     ONE (n, sum_x, X^T X) partial (d + d^2 floats — the corpus' vectors
-    never leave their blocks), partials merge through a repartition tree,
+    never leave their blocks), partials fold through ``agg.tree_reduce``,
     and the d x d covariance eigendecomposition runs on the driver where
     d is small by construction. Component signs are canonicalized
     (largest-|coordinate| positive) so output is reproducible across
@@ -528,33 +491,18 @@ def pca_fit(ds, vec_col: str = "embedding", n_components: int = 8):
     Returns ``(mean: float64[d], components: float64[n_components, d])``
     with components ordered by eigenvalue descending.
     """
-    import pickle
+    from .agg import tree_reduce
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def partial(batch: pd.DataFrame) -> tuple:
         x = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
-        blob = pickle.dumps((len(x), x.sum(axis=0), x.T @ x))
-        return pd.DataFrame({"__m": pd.Series([blob], dtype="object")})
+        return len(x), x.sum(axis=0), x.T @ x
 
-    def merge(batch: pd.DataFrame) -> pd.DataFrame:
-        n, s, xtx = pickle.loads(batch["__m"].iloc[0])
-        for blob in batch["__m"].iloc[1:]:
-            n2, s2, x2 = pickle.loads(blob)
-            n, s, xtx = n + n2, s + s2, xtx + x2
-        return pd.DataFrame(
-            {"__m": pd.Series([pickle.dumps((n, s, xtx))], dtype="object")}
-        )
-
-    rows = (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(16)
-        .map_batches(merge, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pandas", batch_size=None)
-        .take_all()  # exactly ONE d+d^2-float row
+    moments = tree_reduce(
+        ds, partial, lambda a, b: tuple(u + v for u, v in zip(a, b))
     )
-    n, s, xtx = pickle.loads(rows[0]["__m"])
-    if n < 2:
+    if moments is None or moments[0] < 2:
         raise ValueError("pca_fit needs at least 2 vectors")
+    n, s, xtx = moments
     mean = s / n
     cov = (xtx - n * np.outer(mean, mean)) / (n - 1)
     evals, evecs = np.linalg.eigh(cov)  # ascending
@@ -730,34 +678,24 @@ def knn_graph_ivf(
     seed: int = 13,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    n_buckets: int = 32,
+    n_buckets: int | None = None,
 ):
     """IVF-bucketed APPROXIMATE kNN graph — the corpus-scale path: every
     vector is a MEMBER of its nearest coarse cell and a QUERY in its
     ``nprobe`` nearest cells; one cell-keyed exchange computes local
     top-k inside each cell (group size ~ n/n_cells; neighbor candidates
     never leave their cell except as <= nprobe*k candidate rows per
-    vector), one bucketed exchange merges per-vector candidates. Recall
+    vector), one bucketed exchange (``n_buckets``, size-derived unless
+    explicit) merges per-vector candidates. Recall
     vs the exact graph is gated by ``emb_knn_graph_recall``. Returns
     (vec_id, nbr_id, sim) with <= k rows per vector."""
     import ray
 
+    from . import scale as _scale
+
+    n_buckets = _scale.resolve(n_buckets)
     mn, mx = _dim_minmax(ds, vec_col)
-    # coarse quantizer trained on a hash-ranked sample (block-layout
-    # independent), cosine Lloyd like knn_ivf
-    sample = _hash_sample(ds, train_sample, seed, id_col, [id_col, vec_col])
-    mat = _unit(np.stack([np.asarray(r[vec_col]) for r in sample]).astype(np.float64))
-    rng = np.random.RandomState(seed)
-    cents = mat[rng.choice(len(mat), size=min(n_cells, len(mat)), replace=False)]
-    for _ in range(8):
-        assign = np.argmax(mat @ cents.T, axis=1)
-        for c in range(cents.shape[0]):
-            members = mat[assign == c]
-            if len(members):
-                v = members.mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cents[c] = v / n
+    cents = _coarse_cells(ds, n_cells, train_sample, seed, id_col, vec_col)
     cents_ref = ray.put(cents)
     d = int(mn.shape[0])
 

@@ -102,8 +102,8 @@ def decontaminate(
     and the training stream filters against it per batch (zero shuffle —
     eval sets are orders of magnitude smaller than the corpus, this is
     the path you run at any scale). Past the limit, a fixed-size
-    Bloom filter of the eval fingerprints (built by a partial-merge
-    tree, broadcast once — ``bloom_bits`` bits regardless of eval
+    Bloom filter of the eval fingerprints (folded by ``agg.tree_reduce``,
+    broadcast once — ``bloom_bits`` bits regardless of eval
     cardinality) splits the stream: misses are guaranteed clean and
     bypass the exchange entirely; only hits (true matches + the
     bloom's false-positive sliver) enter the hash-bucketed anti-join
@@ -156,8 +156,7 @@ def decontaminate(
 
     # corpus-sized eval side (rare): Bloom prefilter + bucketed anti-join
     # on the fingerprint — only bloom HITS enter the exchange
-    import pickle
-
+    from .agg import tree_reduce
     from .joins import bucketed_join
     from .sketch import BloomFilter
 
@@ -172,26 +171,13 @@ def decontaminate(
             dtype="int64",
         )
 
-    def bloom_partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def bloom_partial(batch: pd.DataFrame) -> BloomFilter:
         bf = BloomFilter(bloom_bits)
         bf.add_many(_fp_ints(batch[eval_text_col]).to_numpy())
-        return pd.DataFrame({"__bf": pd.Series([pickle.dumps(bf)], dtype="object")})
+        return bf
 
-    def bloom_merge(batch: pd.DataFrame) -> pd.DataFrame:
-        bf = pickle.loads(batch["__bf"].iloc[0])
-        for blob in batch["__bf"].iloc[1:]:
-            bf.merge(pickle.loads(blob))
-        return pd.DataFrame({"__bf": pd.Series([pickle.dumps(bf)], dtype="object")})
-
-    merged = (
-        eval_ds.map_batches(bloom_partial, batch_format="pandas")
-        .repartition(16)
-        .map_batches(bloom_merge, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(bloom_merge, batch_format="pandas", batch_size=None)
-        .take_all()  # exactly ONE pickled bloom row — bloom_bits/8 bytes
-    )
-    bloom_ref = ray.put(pickle.loads(merged[0]["__bf"]))
+    # past the broadcast limit, so the eval side is non-empty
+    bloom_ref = ray.put(tree_reduce(eval_ds, bloom_partial, BloomFilter.merge))
     cols = list(ds.schema().names)
 
     def clean_only(batch: pd.DataFrame) -> pd.DataFrame:

@@ -240,7 +240,7 @@ def bloom_prefilter(
     LOW-match-rate inner/semi join where the build side is too big to
     broadcast raw but its KEY SET fits a fixed bit array): one streaming
     pass over ``build`` folds per-batch Bloom partials over the hashed
-    key column, bitwise-OR-merged through a two-level tree, the final
+    key column, OR-merged through ``agg.tree_reduce``, the final
     bits ship ONCE via ``ray.put`` (n_bits/8 bytes regardless of build
     cardinality), and ``probe`` rows whose key misses are dropped BEFORE
     any exchange. A miss is a guaranteed non-match (no false negatives),
@@ -250,38 +250,17 @@ def bloom_prefilter(
 
     Returns the filtered probe Dataset. Do NOT use before left/outer
     joins (pruned rows must survive those)."""
-    import pickle
-
     import ray
 
+    from .agg import tree_reduce
     from .sketch import BloomFilter
 
-    def build_partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def build_partial(batch: pd.DataFrame) -> BloomFilter:
         bf = BloomFilter(n_bits=n_bits, k=k)
         bf.add_many(_key_ints(batch[build_key].to_numpy()).view(np.uint64))
-        return pd.DataFrame({"__bf": pd.Series([pickle.dumps(bf)], dtype="object")})
+        return bf
 
-    def merge(batch: pd.DataFrame) -> pd.DataFrame:
-        acc = None
-        for blob in batch["__bf"]:
-            bf = pickle.loads(blob)
-            if bf is None:
-                continue  # partial from an empty batch — OR-identity
-            if acc is None:
-                acc = bf
-            else:
-                acc.bits |= bf.bits
-        return pd.DataFrame({"__bf": pd.Series([pickle.dumps(acc)], dtype="object")})
-
-    merged = (
-        build.map_batches(build_partial, batch_format="pandas")
-        .repartition(8)
-        .map_batches(merge, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pandas", batch_size=None)
-        .take_all()  # exactly ONE pickled bloom row — n_bits/8 bytes
-    )
-    bf_final = pickle.loads(merged[0]["__bf"]) if merged else None
+    bf_final = tree_reduce(build, build_partial, BloomFilter.merge)
     if bf_final is None:
         # empty build side: nothing can match — emit an empty probe with
         # the schema intact rather than crashing on a missing bloom row

@@ -1667,19 +1667,14 @@ def _semdedup_prune_ds(emb, pin: bool):
 
     import ray as _ray
 
-    from .ann import kmeans_fit
+    from .ann import _sq_dists, kmeans_fit
 
     cents, _ = kmeans_fit(emb, k=_SEMDEDUP_K, n_iter=8, seed=13, pin=pin)
     ref = _ray.put(np.asarray(cents, dtype=np.float64))
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        c = _ray.get(ref)
         x = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-        d2 = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * (x @ c.T)
-            + (c * c).sum(axis=1)[None, :]
-        )
+        d2 = _sq_dists(x, _ray.get(ref))
         out = pd.DataFrame(
             {
                 "vec_id": batch["vec_id"].astype("int64").values,
@@ -1949,17 +1944,14 @@ def _ivf_residual_ds(emb, coarse: np.ndarray):
     width so the PQ kernel slices it like any embedding column."""
     import ray as _ray
 
+    from .ann import _sq_dists
+
     ref = _ray.put(np.asarray(coarse, dtype=np.float64))
 
     def resid(batch: pd.DataFrame) -> pd.DataFrame:
         c = _ray.get(ref)
         x = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-        d2 = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * (x @ c.T)
-            + (c * c).sum(axis=1)[None, :]
-        )
-        a = np.argmin(d2, axis=1)
+        a = np.argmin(_sq_dists(x, c), axis=1)
         return pd.DataFrame(
             {
                 "vec_id": batch["vec_id"].astype("int64").values,
@@ -7872,9 +7864,9 @@ def q_doc_distinct_words(sf_dir: str):
     (n_exact, hll_estimate, err_x10000). Deterministic md5 register
     hashing keeps the output stable across runs; accuracy is additionally
     gated by tests/test_sketch.py."""
-    import pickle
     import zlib as _z
 
+    from .agg import tree_reduce
     from .sketch import HyperLogLog
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -7905,26 +7897,12 @@ def q_doc_distinct_words(sf_dir: str):
         .sum()
     )
 
-    def partial_hll(batch: pd.DataFrame) -> pd.DataFrame:
+    def partial_hll(batch: pd.DataFrame) -> HyperLogLog:
         h = HyperLogLog(12)
         h.update_many(batch["word"].tolist())
-        return pd.DataFrame({"__sk": pd.Series([pickle.dumps(h)], dtype="object")})
+        return h
 
-    def merge_hll(batch: pd.DataFrame) -> pd.DataFrame:
-        h = pickle.loads(batch["__sk"].iloc[0])
-        for blob in batch["__sk"].iloc[1:]:
-            h.merge(pickle.loads(blob))
-        return pd.DataFrame({"__sk": pd.Series([pickle.dumps(h)], dtype="object")})
-
-    blob = (
-        wds.map_batches(partial_hll, batch_format="pandas")
-        .repartition(8)
-        .map_batches(merge_hll, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(merge_hll, batch_format="pandas", batch_size=None)
-        .take_all()
-    )[0]["__sk"]
-    est = pickle.loads(blob).estimate()
+    est = tree_reduce(wds, partial_hll, HyperLogLog.merge).estimate()
     # oracle-able shape (VERDICT r3 next #4): n_exact is SQL-checkable
     # directly; the HLL side reduces to an integer bound gate (within
     # 5% — 3x the p=12 standard error) so the approximate value never

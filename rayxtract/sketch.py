@@ -261,7 +261,7 @@ def exact_heavy_hitters(ds, col: str, k: int = 25, m: int = 4096):
     distribution:
 
     1. per-batch MisraGries summaries (weighted by in-batch value counts)
-       merge through a two-level tree -> <= m candidate values + the
+       fold through ``agg.tree_reduce`` -> <= m candidate values + the
        decrement bound ``dec``;
     2. second pass counts ONLY the candidates exactly (bounded-cardinality
        tree aggregate), takes top-k;
@@ -272,33 +272,24 @@ def exact_heavy_hitters(ds, col: str, k: int = 25, m: int = 4096):
        streams the bound never trips (top words are stopword-like).
 
     Returns a Dataset of ``(value, n)`` rows, exact, so a plain SQL
-    GROUP BY oracle can check it. Input is consumed twice (pass a cheaply
-    re-computable pruned dataset)."""
-    import pickle
+    GROUP BY oracle can check it; no rows for an empty input. Input is
+    consumed twice (pass a cheaply re-computable pruned dataset)."""
+    import ray.data as rd
 
-    from .agg import topk as _topk, tree_aggregate
+    from .agg import topk as _topk, tree_aggregate, tree_reduce
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def partial(batch: pd.DataFrame) -> MisraGries:
         sk = MisraGries(m)
         vc = batch[col].value_counts()
         sk.update_many(vc.index.tolist(), vc.to_numpy(np.int64))
-        return pd.DataFrame({"__sk": pd.Series([pickle.dumps(sk)], dtype="object")})
+        return sk
 
-    def merge_all(batch: pd.DataFrame) -> pd.DataFrame:
-        sk = pickle.loads(batch["__sk"].iloc[0])
-        for blob in batch["__sk"].iloc[1:]:
-            sk.merge(pickle.loads(blob))
-        return pd.DataFrame({"__sk": pd.Series([pickle.dumps(sk)], dtype="object")})
-
-    merged = (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(16)
-        .map_batches(merge_all, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(merge_all, batch_format="pandas", batch_size=None)
-        .take_all()  # exactly ONE pickled sketch row — O(m), not corpus-sized
-    )
-    sk: MisraGries = pickle.loads(merged[0]["__sk"])
+    sk = tree_reduce(ds, partial, MisraGries.merge)  # O(m), not corpus-sized
+    if sk is None:
+        return rd.from_pandas(
+            pd.DataFrame({"value": pd.Series([], dtype="object"),
+                          "n": pd.Series([], dtype="int64")})
+        )
     cand = frozenset(sk.counters)
 
     def count_cands(batch: pd.DataFrame) -> pd.DataFrame:
@@ -321,8 +312,6 @@ def exact_heavy_hitters(ds, col: str, k: int = 25, m: int = 4096):
             f"MG capacity m={m} too small: top-{k} floor {int(out['n'].min())}"
             f" <= decrement bound {sk.dec}; raise m"
         )
-    import ray.data as rd
-
     return rd.from_pandas(out)
 
 

@@ -247,3 +247,26 @@ def test_cluster_sample_balance(ray_session):
     # deterministic: identical keep set on a second run
     df2 = QUERIES["emb_cluster_sample"]("/root/testdata/sf0.001").to_pandas()
     assert set(df["vec_id"]) == set(df2["vec_id"])
+
+
+@pytest.mark.parametrize(
+    "fit", ["pca_fit", "kmeans_fit", "pq_fit_codebooks", "exact_heavy_hitters"]
+)
+def test_empty_input_fails_loudly_or_returns_empty(ray_session, fit):
+    """An input whose batches hold no rows: every fitter names the cause,
+    and the exact heavy-hitter query returns zero (value, n) rows."""
+    import ray.data
+
+    from rayxtract import ann
+    from rayxtract.sketch import exact_heavy_hitters
+
+    empty = ray.data.read_parquet(
+        f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"]
+    ).map_batches(lambda b: b.iloc[0:0], batch_format="pandas")
+    if fit == "exact_heavy_hitters":
+        out = exact_heavy_hitters(empty, "vec_id", k=5)
+        assert out.count() == 0 and out.schema().names == ["value", "n"]
+        return
+    match = "at least 2 vectors" if fit == "pca_fit" else "no vectors"
+    with pytest.raises(ValueError, match=match):
+        getattr(ann, fit)(empty)

@@ -85,6 +85,16 @@ def test_bucketed_join_uses_derived_fanout(ray_session):
     # explicit still wins end-to-end
     bucketed_join(l, r, "k", "k2", n_buckets=4).to_pandas()
     assert scale.last_resolved == 4
+    # the kNN-graph candidate merge derives its fan-out the same way
+    from rayxtract.ann import knn_graph_ivf
+
+    rng = np.random.default_rng(3)
+    emb = ray.data.from_pandas(
+        pd.DataFrame({"vec_id": np.arange(40), "embedding": list(rng.random((40, 4)))})
+    )
+    g = knn_graph_ivf(emb, k=2, n_cells=2, nprobe=2).to_pandas()
+    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert set(g["vec_id"]) == set(range(40))
 
 
 def _rand_tables(rng, n_l=400, n_r=120):
