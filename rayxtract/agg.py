@@ -11,9 +11,12 @@ classic combiner tree, in two forms:
     batch (moment tuples, Bloom/HLL/Misra-Gries sketches), folded with a
     caller ``merge`` through a two-level tree to ONE value on the driver.
 
-Use Ray's groupby instead when the result is corpus-sized (e.g. dedup by
-content hash) — there the shuffle is the honest cost and no combiner can
-help.
+When the result is corpus-sized (e.g. dedup by content hash) the shuffle
+is the honest cost and no combiner can help: :func:`exchange` is the one
+keyed hash exchange every such operator goes through (bucket placement by
+``joins.bucket_of``, fan-out by ``scale.resolve``), and
+:func:`bucketed_aggregate` is the combiner-then-exchange aggregate built
+on it.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import numpy as np
 import pandas as pd
 
 from . import scale as _scale
+from .joins import bucket_of
 
 __all__ = [
     "tree_aggregate",
     "tree_reduce",
+    "exchange",
     "bucketed_aggregate",
     "topk",
     "range_prefix_sum",
@@ -141,6 +146,37 @@ def tree_reduce(ds, partial, merge):
     return pickle.loads(rows[0]["__m"]) if rows else None
 
 
+def exchange(ds, key, per_bucket, n_buckets: int | None = None):
+    """The one keyed hash exchange: every row whose ``key`` (a column
+    name or a list of them) holds the same value lands in the same
+    bucket, and ``per_bucket(frame) -> frame`` runs once per non-empty
+    bucket on a pandas frame of that bucket's rows. ``per_bucket`` must be
+    key-local: it sees whole keys, several keys per bucket, in no
+    particular row order, and never the bucket column itself.
+
+    The fan-out is ``scale.resolve(n_buckets)`` (size-derived unless
+    explicit) and placement is ``joins.bucket_of``. The bucket column is
+    added in a ``map_batches`` that Ray fuses into the caller's upstream
+    map, so only the ``groupby(...).map_groups`` shuffle is new work."""
+    keys = [key] if isinstance(key, str) else list(key)
+    n_buckets = _scale.resolve(n_buckets)
+
+    def tag(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = batch.copy(deep=False)  # new column only; rows are not copied
+        batch["__bucket"] = bucket_of(batch[keys], n_buckets)
+        return batch
+
+    def run(group: pd.DataFrame) -> pd.DataFrame:
+        del group["__bucket"]  # each group frame is fresh; no copy needed
+        return per_bucket(group)
+
+    return (
+        ds.map_batches(tag, batch_format="pandas")
+        .groupby("__bucket")
+        .map_groups(run, batch_format="pandas")
+    )
+
+
 def bucketed_aggregate(
     ds,
     keys: list[str],
@@ -148,50 +184,29 @@ def bucketed_aggregate(
     n_buckets: int | None = None,
 ):
     """Grouped aggregate for LARGE-cardinality keys: partial combine, then
-    a hash(key)-bucketed exchange with one merge per bucket — no single
+    one :func:`exchange` on the keys with one merge per bucket — no single
     block ever holds the whole result (the tree_aggregate contract breaks
     when results are corpus-sized, e.g. a web-scale vocabulary count).
     Only partial rows move through the exchange. Same ``aggs`` spec as
     tree_aggregate."""
-    n_buckets = _scale.resolve(n_buckets)  # size-derived unless explicit
     for out, (col, fn) in aggs.items():
         if fn not in _AGG_FUNCS:
             raise ValueError(f"unsupported agg fn {fn} for {out}")
+    spec = {
+        out: (out, "sum" if fn == "count" else fn) for out, (col, fn) in aggs.items()
+    }
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         cols = {k: batch[k].values for k in keys}
         for out, (col, fn) in aggs.items():
             cols[out] = 1 if fn == "count" else batch[col].values
-        tmp = pd.DataFrame(cols)
-        spec = {
-            out: (out, "sum" if fn == "count" else fn)
-            for out, (col, fn) in aggs.items()
-        }
-        p = tmp.groupby(keys, as_index=False).agg(**spec)
-        # stable cross-process bucket of the (stringified) key tuple —
-        # vectorized pd.util.hash_array (deterministic: fixed hash key),
-        # not a per-row Python crc32 loop (that loop dominated every
-        # string-keyed exchange: url counts, BPE word table, vocabularies)
-        kcat = p[keys[0]].astype(str)
-        for k in keys[1:]:
-            kcat = kcat + "\x1f" + p[k].astype(str)
-        p["__bucket"] = (
-            pd.util.hash_array(kcat.to_numpy(dtype=object))
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return p
+        return pd.DataFrame(cols).groupby(keys, as_index=False).agg(**spec)
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        spec = {
-            out: (out, "sum" if fn == "count" else fn)
-            for out, (col, fn) in aggs.items()
-        }
         return group.groupby(keys, as_index=False).agg(**spec)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        ds.map_batches(partial, batch_format="pandas"), keys, merge, n_buckets
     )
 
 

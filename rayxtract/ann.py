@@ -691,9 +691,8 @@ def knn_graph_ivf(
     (vec_id, nbr_id, sim) with <= k rows per vector."""
     import ray
 
-    from . import scale as _scale
+    from .agg import exchange
 
-    n_buckets = _scale.resolve(n_buckets)
     mn, mx = _dim_minmax(ds, vec_col)
     cents = _coarse_cells(ds, n_cells, train_sample, seed, id_col, vec_col)
     cents_ref = ray.put(cents)
@@ -768,13 +767,6 @@ def knn_graph_ivf(
         .map_groups(local_knn, batch_format="pandas")
     )
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["__bucket"] = (
-            batch["vec_id"].to_numpy(np.int64) % np.int64(n_buckets)
-        ).astype("int64")
-        return batch
-
     def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["vec_id", "nbr_id"]).sort_values(
             ["vec_id", "sim", "nbr_id"],
@@ -787,8 +779,4 @@ def knn_graph_ivf(
             .reset_index(drop=True)
         )
 
-    return (
-        cand.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(merge_topk, batch_format="pandas")
-    )
+    return exchange(cand, "vec_id", merge_topk, n_buckets)

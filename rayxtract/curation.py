@@ -32,12 +32,10 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-import zlib
 
 import numpy as np
 import pandas as pd
 
-from . import scale as _scale
 
 __all__ = [
     "split_assign",
@@ -302,9 +300,9 @@ def paragraph_dedup(
 
     Execution shape (one linear chain, two exchanges):
 
-    1. ``map_batches`` explode: one row per paragraph with its md5 fp and a
-       ``crc32(fp) % n_buckets`` bucket. No driver state.
-    2. ``groupby(bucket).map_groups``: ALL occurrences of an fp share a
+    1. ``map_batches`` explode: one row per paragraph with its md5 fp.
+       No driver state.
+    2. ``agg.exchange`` on fp: ALL occurrences of an fp share a
        bucket, so the winner (lexicographic min of ``(id, para_idx)``) is
        resolved locally with a sort + ``drop_duplicates`` — linear in the
        bucket, no pair blow-up even for degenerate fps (empty/boilerplate
@@ -315,7 +313,7 @@ def paragraph_dedup(
     pages) emit no row — callers left-join against the id universe if they
     need explicit zeros. At corpus scale the exploded stage streams;
     nothing here materializes the dataset or holds per-corpus state."""
-    n_buckets = _scale.resolve(n_buckets)
+    from .agg import exchange
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         ids, idxs, paras, n_ins = [], [], [], []
@@ -333,20 +331,13 @@ def paragraph_dedup(
                 "para": pd.Series(paras, dtype="object"),
                 "n_in": pd.Series(n_ins, dtype="int64"),
                 "fp": pd.Series(fps, dtype="object"),
-                "__bucket": np.fromiter(
-                    (zlib.crc32(f.encode()) % n_buckets for f in fps),
-                    dtype=np.int64,
-                    count=len(fps),
-                ),
             }
         )
-
-    cols = [id_col, "para_idx", "para", "n_in", "fp"]
 
     def keep_winners(group: pd.DataFrame) -> pd.DataFrame:
         return group.sort_values(
             ["fp", id_col, "para_idx"], kind="mergesort"
-        ).drop_duplicates("fp")[cols]
+        ).drop_duplicates("fp")
 
     def reassemble(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values("para_idx", kind="mergesort")
@@ -360,13 +351,9 @@ def paragraph_dedup(
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(keep_winners, batch_format="pandas")
-        .groupby(id_col)
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(explode, batch_format="pandas"), "fp", keep_winners, n_buckets
+    ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
 
 
 def line_boilerplate(
@@ -376,7 +363,6 @@ def line_boilerplate(
     text_col: str = "text",
     sep: str = "\n",
     n_buckets: int | None = None,
-    mode: str = "auto",
     broadcast_limit: int = 2_000_000,
 ):
     """Frequency-based boilerplate-line removal (RefinedWeb / CCNet family,
@@ -395,15 +381,15 @@ def line_boilerplate(
     path:
 
     1. DETECT: per batch, DISTINCT ``(fp, id)`` pairs only (md5 of the
-       line; within-batch repeats collapse first), bucketed by
-       ``crc32(fp)``; ``groupby(bucket)`` counts distinct ids per fp
-       locally (all occurrences of an fp share a bucket) and keeps fps
+       line; within-batch repeats collapse first); one ``agg.exchange``
+       on fp counts distinct ids per fp locally (all occurrences of an
+       fp share a bucket) and keeps fps
        with ``>= min_ids``. The surviving set is bounded by BOILERPLATE
        cardinality, not the corpus.
     2. MARK: below ``broadcast_limit`` boiler fps, the set ships once via
        ``ray.put`` (one object, read per task) and the filter is a pure
-       per-batch pass — zero further exchanges. Past the limit
-       (``mode="exchange"`` or auto-overflow) the job falls back to the
+       per-batch pass — zero further exchanges. Past the limit the job
+       falls back to the
        :func:`paragraph_dedup` shape: lines re-bucket by fp, the bucket
        drops frequent fps locally, and one ``groupby(id)`` exchange
        reassembles — line text moves through two exchanges, still nothing
@@ -411,9 +397,7 @@ def line_boilerplate(
     """
     import ray
 
-    if mode not in ("auto", "broadcast", "exchange"):
-        raise ValueError(f"unsupported mode {mode!r}")
-    n_buckets = _scale.resolve(n_buckets)
+    from .agg import exchange
 
     def detect_pairs(batch: pd.DataFrame) -> pd.DataFrame:
         fps, ids = [], []
@@ -424,18 +408,12 @@ def line_boilerplate(
             }
             fps.extend(seen)
             ids.extend([did] * len(seen))
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "fp": pd.Series(fps, dtype="object"),
                 id_col: pd.Series(ids, dtype="object"),
             }
         )
-        out["__bucket"] = np.fromiter(
-            (zlib.crc32(f.encode()) % n_buckets for f in out["fp"]),
-            dtype=np.int64,
-            count=len(out),
-        )
-        return out
 
     def frequent(group: pd.DataFrame) -> pd.DataFrame:
         cnt = group.groupby("fp")[id_col].nunique()
@@ -443,25 +421,14 @@ def line_boilerplate(
             {"fp": pd.Series(cnt.index[cnt >= min_ids], dtype="object")}
         )
 
-    boiler = (
-        ds.map_batches(detect_pairs, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(frequent, batch_format="pandas")
-    )
-
-    use_broadcast = mode != "exchange"
-    fp_set = None
-    if use_broadcast:
-        # bounded by boilerplate cardinality; materialize the small result
-        # once (the detect DAG runs exactly once), count before gathering
-        # so a degenerate corpus (every line shared) degrades to the
-        # exchange path instead of a driver OOM
-        boiler_mat = boiler.materialize()
-        if mode == "auto" and boiler_mat.count() > broadcast_limit:
-            use_broadcast = False
-        else:
-            fps = boiler_mat.to_pandas()["fp"]
-            fp_set = ray.put(frozenset(fps.tolist()))
+    # bounded by boilerplate cardinality; materialize the small result
+    # once (the detect DAG runs exactly once), count before gathering so a
+    # degenerate corpus (every line shared) degrades to the exchange path
+    # instead of a driver OOM
+    boiler = exchange(
+        ds.map_batches(detect_pairs, batch_format="pandas"), "fp", frequent, n_buckets
+    ).materialize()
+    use_broadcast = boiler.count() <= broadcast_limit
 
     def mark_row(did, text, boil: frozenset):
         parts = text.split(sep)
@@ -493,6 +460,8 @@ def line_boilerplate(
 
     if use_broadcast:
 
+        fp_set = ray.put(frozenset(boiler.to_pandas()["fp"].tolist()))
+
         def mark(batch: pd.DataFrame) -> pd.DataFrame:
             boil = ray.get(fp_set)
             rows = [
@@ -523,11 +492,6 @@ def line_boilerplate(
                 "line": pd.Series(lines, dtype="object"),
                 "n_in": pd.Series(n_ins, dtype="int64"),
                 "fp": pd.Series(fps, dtype="object"),
-                "__bucket": np.fromiter(
-                    (zlib.crc32(f.encode()) % n_buckets for f in fps),
-                    dtype=np.int64,
-                    count=len(fps),
-                ),
             }
         )
 
@@ -552,13 +516,9 @@ def line_boilerplate(
             ]
         )
 
-    kept = (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(drop_frequent, batch_format="pandas")
-        .groupby(id_col)
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    kept = exchange(
+        ds.map_batches(explode, batch_format="pandas"), "fp", drop_frequent, n_buckets
+    ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
     # docs whose every line was boilerplate emit no row from the exchange;
     # left-join against the id universe so both paths agree row-for-row
     universe = ds.map_batches(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import scale as _scale
 
 __all__ = [
     "dedup_keep_latest",
@@ -379,7 +378,6 @@ def dup_span_stats(
     id_col: str = "doc_id",
     text_col: str = "text",
     n_buckets: int | None = None,
-    mode: str = "auto",
     broadcast_limit: int = 5_000_000,
 ):
     """Per-document duplicated-span statistics + cleaned-text digest.
@@ -395,7 +393,7 @@ def dup_span_stats(
        sorted uint64 array via ``ray.put`` and membership is a vectorized
        ``searchsorted`` per doc (zero extra exchange — the path you run
        whenever boilerplate, not the corpus, bounds the dup set). Past the
-       limit (``mode="join"`` or auto-overflow) windows re-join the dup set
+       limit windows re-join the dup set
        with ``bucketed_join`` on the hash, dup START positions pack per doc
        into a bytes column, and a left join brings them back to the text —
        only (hash, doc, pos) triples move, never token text.
@@ -413,9 +411,6 @@ def dup_span_stats(
     import ray
 
     from .agg import bucketed_aggregate
-
-    if mode not in ("auto", "broadcast", "join"):
-        raise ValueError(f"unsupported mode {mode!r}")
 
     def detect_partial_cls():
         kern = _WindowHashKernel(w)
@@ -483,49 +478,46 @@ def dup_span_stats(
             }
         )
 
-    if mode in ("auto", "broadcast"):
-        # gather dup hashes (bounded by boilerplate cardinality, not corpus)
-        got: list = []
-        total = 0
-        overflow = False
-        dup_iter = dup if mode == "broadcast" else dup.materialize()
-        for b in dup_iter.iter_batches(batch_size=65536, batch_format="pandas"):
-            a = b["win_h"].to_numpy().view(np.uint64)
-            got.append(a)
-            total += len(a)
-            if mode == "auto" and total > broadcast_limit:
-                overflow = True
-                break
-        if not overflow:
-            dup_sorted = np.sort(
-                np.concatenate(got) if got else np.empty(0, dtype=np.uint64)
-            )
-            ref = ray.put(dup_sorted)
+    # gather dup hashes (bounded by boilerplate cardinality, not corpus);
+    # past ``broadcast_limit`` fall through to the join path
+    dup = dup.materialize()
+    got: list = []
+    total = 0
+    for b in dup.iter_batches(batch_size=65536, batch_format="pandas"):
+        a = b["win_h"].to_numpy().view(np.uint64)
+        got.append(a)
+        total += len(a)
+        if total > broadcast_limit:
+            break
+    if total <= broadcast_limit:
+        dup_sorted = np.sort(
+            np.concatenate(got) if got else np.empty(0, dtype=np.uint64)
+        )
+        ref = ray.put(dup_sorted)
 
-            def mark_cls():
-                kern = _WindowHashKernel(w)
+        def mark_cls():
+            kern = _WindowHashKernel(w)
 
-                def fn(batch: pd.DataFrame) -> pd.DataFrame:
-                    d = ray.get(ref)
-                    texts, starts_all = [], []
-                    for text in batch[text_col].values:
-                        h, tokens = kern.doc_hashes(text)
-                        if len(h) and len(d):
-                            pos = np.searchsorted(d, h).clip(max=len(d) - 1)
-                            member = d[pos] == h
-                            starts = np.nonzero(member)[0]
-                        else:
-                            starts = np.empty(0, dtype=np.int64)
-                        texts.append(tokens)
-                        starts_all.append(starts)
-                    return finalize_frame(
-                        batch[id_col].values, texts, starts_all
-                    )
+            def fn(batch: pd.DataFrame) -> pd.DataFrame:
+                d = ray.get(ref)
+                texts, starts_all = [], []
+                for text in batch[text_col].values:
+                    h, tokens = kern.doc_hashes(text)
+                    if len(h) and len(d):
+                        pos = np.searchsorted(d, h).clip(max=len(d) - 1)
+                        member = d[pos] == h
+                        starts = np.nonzero(member)[0]
+                    else:
+                        starts = np.empty(0, dtype=np.int64)
+                    texts.append(tokens)
+                    starts_all.append(starts)
+                return finalize_frame(
+                    batch[id_col].values, texts, starts_all
+                )
 
-                return fn
+            return fn
 
-            return docs.map_batches(mark_cls(), batch_format="pandas")
-        dup = dup_iter  # fall through to the join path on the materialized set
+        return docs.map_batches(mark_cls(), batch_format="pandas")
 
     # join path: (doc, pos, win_h) triples re-join the dup set on the hash
     from .joins import bucketed_join
@@ -627,9 +619,7 @@ def cross_corpus_novelty(
     import numpy as np
     import pandas as pd
 
-    from .agg import bucketed_aggregate
-
-    n_buckets = _scale.resolve(n_buckets)
+    from .agg import bucketed_aggregate, exchange
 
     def old_rows_cls():
         kern = _WindowHashKernel(w)
@@ -647,7 +637,6 @@ def cross_corpus_novelty(
                     "doc": np.full(len(u), -1, dtype=np.int64),
                     "cnt": np.zeros(len(u), dtype=np.int64),
                     "side": np.zeros(len(u), dtype=np.int64),
-                    "__bucket": (u % n_buckets + n_buckets) % n_buckets,
                 }
             )
 
@@ -673,7 +662,6 @@ def cross_corpus_novelty(
                     "doc": g["doc"].to_numpy(np.int64),
                     "cnt": g["size"].to_numpy(np.int64),
                     "side": np.ones(len(g), dtype=np.int64),
-                    "__bucket": (wh % n_buckets + n_buckets) % n_buckets,
                 }
             )
 
@@ -709,9 +697,7 @@ def cross_corpus_novelty(
         )
         return part.groupby("doc", as_index=False).sum()
 
-    partials = rows.groupby("__bucket").map_groups(
-        probe_bucket, batch_format="pandas"
-    )
+    partials = exchange(rows, "win_h", probe_bucket, n_buckets)
     out = bucketed_aggregate(
         partials,
         keys=["doc"],

@@ -201,7 +201,8 @@ def extract_link_edges(pages_ds, n_buckets: int | None = None):
     edge set (large-cardinality groupby discipline, same as
     agg.bucketed_aggregate but keyed on a string pair)."""
 
-    n_buckets = _scale.resolve(n_buckets)  # size-derived unless explicit
+    from .agg import exchange
+
     # (1, 32) x 256: the pool autoscales to the node (8-cap starved a
     # 32-CPU box), and 256 pages/task amortizes task overhead — measured
     # 17.8 -> 11.2 s on the 300k-page tier for the identical walk. HTML
@@ -217,17 +218,6 @@ def extract_link_edges(pages_ds, n_buckets: int | None = None):
         g = batch.groupby(["src_url", "href"], as_index=False).size()
         g = g.rename(columns={"size": "n_links"})
         g["n_links"] = g["n_links"].astype("int64")
-        h = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(s.encode(), digest_size=4).digest(), "big"
-                )
-                for s in g["src_url"]
-            ),
-            dtype=np.int64,
-            count=len(g),
-        )
-        g["__bucket"] = h % np.int64(n_buckets)
         return g
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -235,10 +225,11 @@ def extract_link_edges(pages_ds, n_buckets: int | None = None):
         out["n_links"] = out["n_links"].astype("int64")
         return out
 
-    return (
-        links.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
+    return exchange(
+        links.map_batches(partial, batch_format="pandas"),
+        "src_url",
+        merge,
+        n_buckets,
     )
 
 
@@ -604,7 +595,7 @@ def triangle_count(
     count. Tie-breaks compare RAW node values in both the orientation and
     the wedge ordering — the two must agree or triangles are missed."""
     n_buckets = _scale.resolve(n_buckets)
-    from .agg import bucketed_aggregate
+    from .agg import bucketed_aggregate, exchange
     from .joins import auto_join, bucketed_join
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -673,14 +664,6 @@ def triangle_count(
 
     oriented = e.map_batches(orient, batch_format="pandas").materialize()
 
-    def ubkt(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["__ubkt"] = (
-            pd.util.hash_array(batch["u"].astype(str).to_numpy(dtype=object))
-            % np.uint64(n_buckets)
-        ).astype("int64")
-        return batch
-
     def wedges(group: pd.DataFrame) -> pd.DataFrame:
         cks: list[np.ndarray] = []
         for _, g in group.groupby("u", sort=False):
@@ -701,11 +684,7 @@ def triangle_count(
         )
         return pd.DataFrame({"ck": pd.Series(ck, dtype="object")})
 
-    cands = (
-        oriented.map_batches(ubkt, batch_format="pandas")
-        .groupby("__ubkt")
-        .map_groups(wedges, batch_format="pandas")
-    )
+    cands = exchange(oriented, "u", wedges, n_buckets)
     ekeys = oriented.map_batches(
         lambda b: pd.DataFrame(
             {

@@ -30,18 +30,14 @@ training-data-pipeline family (text quality scoring).
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
-
-from . import scale as _scale
 
 SCALE = 1_000_000
 
 
-def explode_bigram_counts(batch: pd.DataFrame, n_buckets: int = 32) -> pd.DataFrame:
-    """Per-doc bigram occurrence counts with a stable w1-hash bucket."""
+def explode_bigram_counts(batch: pd.DataFrame) -> pd.DataFrame:
+    """Per-doc bigram occurrence counts ``(doc_id, w1, w2, occ)``."""
     ids: list[int] = []
     w1s: list[str] = []
     w2s: list[str] = []
@@ -59,7 +55,7 @@ def explode_bigram_counts(batch: pd.DataFrame, n_buckets: int = 32) -> pd.DataFr
             w1s.append(a)
             w2s.append(b)
             occs.append(n)
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "doc_id": pd.Series(ids, dtype="int64"),
             "w1": pd.Series(w1s, dtype="object"),
@@ -67,12 +63,6 @@ def explode_bigram_counts(batch: pd.DataFrame, n_buckets: int = 32) -> pd.DataFr
             "occ": pd.Series(occs, dtype="int64"),
         }
     )
-    out["__bucket"] = np.fromiter(
-        (zlib.crc32(w.encode()) % n_buckets for w in out["w1"]),
-        dtype=np.int64,
-        count=len(out),
-    )
-    return out
 
 
 def score_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -111,15 +101,13 @@ def bigram_fluency(ds, n_buckets: int | None = None):
     ``fluency = sum(occ * (c12 * SCALE // c1)) // n_bigrams`` — the
     scaled-integer mean MLE bigram probability under the corpus-trained
     model. Input needs columns ``doc_id`` and ``text``."""
-    from .agg import bucketed_aggregate
+    from .agg import bucketed_aggregate, exchange
 
-    n_buckets = _scale.resolve(n_buckets)
-
-    exploded = ds.map_batches(
-        lambda b: explode_bigram_counts(b, n_buckets), batch_format="pandas"
-    )
-    parts = exploded.groupby("__bucket").map_groups(
-        score_bucket, batch_format="pandas"
+    parts = exchange(
+        ds.map_batches(explode_bigram_counts, batch_format="pandas"),
+        "w1",
+        score_bucket,
+        n_buckets,
     )
     per_doc = bucketed_aggregate(
         parts,
@@ -142,30 +130,23 @@ def bigram_fluency(ds, n_buckets: int | None = None):
     return per_doc.map_batches(finish, batch_format="pandas")
 
 
-def explode_global_bigrams(batch: pd.DataFrame, n_buckets: int = 32) -> pd.DataFrame:
-    """Batch-combined GLOBAL bigram counts (no doc dimension) with a
-    stable w1-hash bucket — the partial/combiner step of the PMI exchange:
-    only (w1, w2, occ) partials ever leave a read task."""
+def explode_global_bigrams(batch: pd.DataFrame) -> pd.DataFrame:
+    """Batch-combined GLOBAL bigram counts (no doc dimension) — the
+    partial/combiner step of the PMI exchange: only (w1, w2, occ)
+    partials ever leave a read task."""
     c: dict = {}
     for text in batch["text"].values:
         toks = text.split()
         for a, b in zip(toks, toks[1:]):
             key = (a, b)
             c[key] = c.get(key, 0) + 1
-    w1s = [k[0] for k in c]
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
-            "w1": pd.Series(w1s, dtype="object"),
+            "w1": pd.Series([k[0] for k in c], dtype="object"),
             "w2": pd.Series([k[1] for k in c], dtype="object"),
             "occ": pd.Series(list(c.values()), dtype="int64"),
         }
     )
-    out["__bucket"] = np.fromiter(
-        (zlib.crc32(w.encode()) % n_buckets for w in w1s),
-        dtype=np.int64,
-        count=len(out),
-    )
-    return out
 
 
 def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = None):
@@ -190,12 +171,7 @@ def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = Non
     loop, and a local-top-k combiner tree picks the k winners. Nothing
     vocabulary-sized touches the driver.
     """
-    from .agg import topk
-
-    n_buckets = _scale.resolve(n_buckets)
-    exploded = ds.map_batches(
-        lambda b: explode_global_bigrams(b, n_buckets), batch_format="pandas"
-    )
+    from .agg import exchange, topk
 
     def reduce_w1(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(["w1", "w2"], as_index=False).agg(c12=("occ", "sum"))
@@ -203,18 +179,12 @@ def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = Non
         g["c12"] = g["c12"].astype("int64")
         return g[["w1", "w2", "c12", "c1"]]
 
-    by_w1 = exploded.groupby("__bucket").map_groups(
-        reduce_w1, batch_format="pandas"
+    by_w1 = exchange(
+        ds.map_batches(explode_global_bigrams, batch_format="pandas"),
+        "w1",
+        reduce_w1,
+        n_buckets,
     )
-
-    def rebucket_w2(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["__bucket"] = np.fromiter(
-            (zlib.crc32(w.encode()) % n_buckets for w in b["w2"]),
-            dtype=np.int64,
-            count=len(b),
-        )
-        return b
 
     def attach_w2(group: pd.DataFrame) -> pd.DataFrame:
         g = group.copy()
@@ -223,12 +193,7 @@ def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = Non
 
     # materialized: consumed twice (scalar N + the ratio pass), and a lazy
     # Dataset re-executes per consumer (Ray 2.49 gotcha)
-    full = (
-        by_w1.map_batches(rebucket_w2, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(attach_w2, batch_format="pandas")
-        .materialize()
-    )
+    full = exchange(by_w1, "w2", attach_w2, n_buckets).materialize()
     n_total = int(full.sum("c12") or 0)
 
     def ratio(batch: pd.DataFrame) -> pd.DataFrame:

@@ -457,13 +457,12 @@ def minhash_candidate_pairs(
         ),
         batch_format="pandas",
     )
-    n_join_buckets = _scale.exchange_buckets()
-    with_a = bucketed_join(
-        pairs, sigs_b, "doc_a", "doc_id", n_buckets=n_join_buckets
-    ).map_batches(_rename_sig("sig_a"), batch_format="pandas")
-    with_ab = bucketed_join(
-        with_a, sigs_b, "doc_b", "doc_id", n_buckets=n_join_buckets
-    ).map_batches(_rename_sig("sig_b"), batch_format="pandas")
+    with_a = bucketed_join(pairs, sigs_b, "doc_a", "doc_id").map_batches(
+        _rename_sig("sig_a"), batch_format="pandas"
+    )
+    with_ab = bucketed_join(with_a, sigs_b, "doc_b", "doc_id").map_batches(
+        _rename_sig("sig_b"), batch_format="pandas"
+    )
 
     def estimate(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):

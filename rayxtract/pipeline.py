@@ -77,9 +77,9 @@ def list_shards(pages_path: str) -> list[str]:
 
 def _shard_partial_fn(path: str, n_buckets: int):
     import pandas as pd
-    import zlib as _zlib
-
     import pyarrow.parquet as pq
+
+    from .joins import bucket_of
 
     t = pq.read_table(path, columns=["url", "warc_ts"])
     df = pd.DataFrame(
@@ -91,7 +91,7 @@ def _shard_partial_fn(path: str, n_buckets: int):
         n=("ts", "size"), max_ts=("ts", "max"), n_at_max=("is_max", "sum")
     )
     part["n"] = part["n"].astype("int64")
-    b = part["url"].map(lambda u: _zlib.crc32(u.encode()) % n_buckets)
+    b = bucket_of(part["url"], n_buckets)
     parts = tuple(
         part[b == i].reset_index(drop=True) for i in range(n_buckets)
     )
@@ -405,7 +405,9 @@ def extraction_dataset(
     import ray.data
 
     cfg = cfg or ExtractConfig()
-    _scale.hint_from_dir(pages_path)  # size-derived exchange fan-out
+    # this job's own input sizes its exchanges — SET, not raised, so a
+    # small job after a big one in the same process gets the small fan-out
+    _scale.set_scale_hint(_scale.dir_bytes(pages_path))
     shards = list_shards(pages_path)
     shard_of = {path: i for i, path in enumerate(shards)}
     todo = [

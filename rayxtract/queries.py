@@ -3486,9 +3486,8 @@ def q_pages_anchor_top(sf_dir: str):
     shrink the pair stream, then ONE hash(href)-keyed exchange computes
     the full counts AND the argmax in place — anchors of one target
     share a bucket by construction, so no second shuffle."""
-    import zlib as _z
+    from .agg import exchange
 
-    n_buckets = _scale.exchange_buckets()
     pairs = _anchor_pairs_spilled(sf_dir)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -3498,11 +3497,6 @@ def q_pages_anchor_top(sf_dir: str):
             .rename(columns={"size": "n"})
         )
         g["n"] = g["n"].astype("int64")
-        g["__bucket"] = np.fromiter(
-            (_z.crc32(h.encode()) % n_buckets for h in g["href"]),
-            dtype=np.int64,
-            count=len(g),
-        )
         return g
 
     def argmax_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -3529,10 +3523,8 @@ def q_pages_anchor_top(sf_dir: str):
             }
         )
 
-    return (
-        pairs.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(argmax_bucket, batch_format="pandas")
+    return exchange(
+        pairs.map_batches(partial, batch_format="pandas"), "href", argmax_bucket
     )
 
 
@@ -4773,6 +4765,7 @@ def q2_cheapest_supplier(sf_dir: str):
     shrunken stream (part keys are corpus-sized — never a single-block
     merge); the part dimension attaches through auto_join. Unit price is
     floor(ep/qty*100) — identical IEEE division in numpy and SQL."""
+    from .agg import exchange
     from .joins import auto_join
 
     def unit(batch: pd.DataFrame) -> pd.DataFrame:
@@ -4807,18 +4800,7 @@ def q2_cheapest_supplier(sf_dir: str):
             .head(1)
         )
 
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["__bucket"] = (b["p_partkey"].to_numpy(np.int64) % 16).astype("int64")
-        return b
-
-    argmin = (
-        li.map_batches(bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: pick(g).drop(columns="__bucket"), batch_format="pandas"
-        )
-    )
+    argmin = exchange(li, "p_partkey", pick)
     part = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
         lambda b: pd.DataFrame(
             {"pk": b["p_partkey"].astype("int64").values,
@@ -5550,7 +5532,7 @@ def q21_sole_return_supplier(sf_dir: str):
     per-supplier count + top-20 goes through the local-top-k combiner
     (total order: count desc, suppkey asc — ties never depend on
     batching)."""
-    from .agg import bucketed_aggregate, topk, tree_aggregate
+    from .agg import bucketed_aggregate, exchange, topk, tree_aggregate
     from .joins import bucketed_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]).map_batches(
@@ -5576,14 +5558,6 @@ def q21_sole_return_supplier(sf_dir: str):
         aggs={"has_r": ("is_r", "max")},
     )
 
-    def order_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["__obkt"] = (
-            pd.util.hash_array(batch["l_orderkey"].to_numpy(np.int64))
-            % np.uint64(16)
-        ).astype("int64")
-        return batch
-
     def sole_r(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("l_orderkey")
         agg = g.agg(
@@ -5599,11 +5573,7 @@ def q21_sole_return_supplier(sf_dir: str):
             {"l_suppkey": w["l_suppkey"].astype("int64").values}
         )
 
-    waiters = (
-        per_os.map_batches(order_bucket, batch_format="pandas")
-        .groupby("__obkt")
-        .map_groups(sole_r, batch_format="pandas")
-    )
+    waiters = exchange(per_os, "l_orderkey", sole_r)
     counts = tree_aggregate(
         waiters.map_batches(
             lambda b: pd.DataFrame(
@@ -5789,7 +5759,7 @@ def _supplier_coship_edges(sf_dir: str):
     single digits in TPC-H-shaped data at any SF, so the C(n,2) expansion
     is per-group-bounded). Shared substrate for the triangle-count and
     BFS graph queries."""
-    from .agg import bucketed_aggregate
+    from .agg import bucketed_aggregate, exchange
 
     lo = np.datetime64("1996-01-01", "us")
     hi = np.datetime64("1996-04-01", "us")
@@ -5813,14 +5783,6 @@ def _supplier_coship_edges(sf_dir: str):
         aggs={"n": ("one", "sum")},
     )
 
-    def pbkt(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["__pbkt"] = (
-            pd.util.hash_array(batch["l_partkey"].to_numpy(np.int64))
-            % np.uint64(16)
-        ).astype("int64")
-        return batch
-
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
         outs_a: list[np.ndarray] = []
         outs_b: list[np.ndarray] = []
@@ -5843,11 +5805,7 @@ def _supplier_coship_edges(sf_dir: str):
         )
         return pd.DataFrame({"a": a, "b": b})
 
-    return (
-        ps.map_batches(pbkt, batch_format="pandas")
-        .groupby("__pbkt")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return exchange(ps, "l_partkey", pairs)
 
 
 def q_supplier_triangles(sf_dir: str):
@@ -6679,9 +6637,7 @@ def q_events_type_bigrams(sf_dir: str):
     and emits per-batch (prev, next, n) partials, merged in the
     combiner tree — raw events cross the exchange once, transitions
     (bounded by |types|^2) are what aggregates."""
-    from .agg import tree_aggregate
-
-    n_buckets = _scale.exchange_buckets()
+    from .agg import exchange, tree_aggregate
 
     def prep(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -6692,7 +6648,6 @@ def q_events_type_bigrams(sf_dir: str):
                 .astype("int64"),
                 "event_id": batch["event_id"].astype("int64").values,
                 "event_type": batch["event_type"].astype(object).values,
-                "__bucket": (batch["user_id"].astype("int64") % n_buckets).values,
             }
         )
 
@@ -6713,11 +6668,11 @@ def q_events_type_bigrams(sf_dir: str):
             }
         )
 
-    parts = (
+    parts = exchange(
         _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(prep, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(transitions, batch_format="pandas")
+        .map_batches(prep, batch_format="pandas"),
+        "user_id",
+        transitions,
     )
     return tree_aggregate(
         parts,
@@ -7358,9 +7313,7 @@ def q_doc_tfidf_top(sf_dir: str):
     The score is ``tf * 1_000_000 // df`` — monotone in tf x (1/df) like
     tf-idf but integer-exact, so Ray and DuckDB rank identically with no
     float-ordering hazard (ties broken by word)."""
-    import zlib as _z
-
-    n_buckets = _scale.exchange_buckets()
+    from .agg import exchange
 
     def explode_counts(batch: pd.DataFrame) -> pd.DataFrame:
         ids, words, tfs = [], [], []
@@ -7371,19 +7324,13 @@ def q_doc_tfidf_top(sf_dir: str):
             ids.extend([did] * len(c))
             words.extend(c.keys())
             tfs.extend(c.values())
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(ids, dtype="int64"),
                 "word": pd.Series(words, dtype="object"),
                 "tf": pd.Series(tfs, dtype="int64"),
             }
         )
-        df["__bucket"] = np.fromiter(
-            (_z.crc32(w.encode()) % n_buckets for w in df["word"]),
-            dtype=np.int64,
-            count=len(df),
-        )
-        return df
 
     tf = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         explode_counts, batch_format="pandas"
@@ -7406,7 +7353,7 @@ def q_doc_tfidf_top(sf_dir: str):
             .head(3)[["doc_id", "word", "tf", "df", "score"]]
         )
 
-    cand = tf.groupby("__bucket").map_groups(score_bucket, batch_format="pandas")
+    cand = exchange(tf, "word", score_bucket)
 
     def final_topk(group: pd.DataFrame) -> pd.DataFrame:
         return group.sort_values(
@@ -7487,8 +7434,9 @@ def q_doc_phrase_via_postings(sf_dir: str):
     plan you run when the postings already exist on disk and the query
     stream is large. Engine-vs-engine: the parity test proves both
     plans hash-identical."""
+    from .agg import exchange
+
     w1, w2 = "stream", "column"
-    n_buckets = _scale.exchange_buckets()
 
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
         ids, langs, terms, poss = [], [], [], []
@@ -7501,7 +7449,7 @@ def q_doc_phrase_via_postings(sf_dir: str):
                     langs.append(lang)
                     terms.append(w)
                     poss.append(i)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(ids, dtype="int64"),
                 "lang": pd.Series(langs, dtype="object"),
@@ -7509,8 +7457,6 @@ def q_doc_phrase_via_postings(sf_dir: str):
                 "pos": pd.Series(poss, dtype="int64"),
             }
         )
-        out["__bucket"] = (out["doc_id"] % n_buckets).astype("int64")
-        return out
 
     def adjacency(group: pd.DataFrame) -> pd.DataFrame:
         rows = {"doc_id": [], "lang": [], "n_hits": []}
@@ -7530,11 +7476,12 @@ def q_doc_phrase_via_postings(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-        .map_batches(postings, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(adjacency, batch_format="pandas")
+    return exchange(
+        _read(sf_dir, "documents", ["doc_id", "lang", "text"]).map_batches(
+            postings, batch_format="pandas"
+        ),
+        "doc_id",
+        adjacency,
     )
 
 
@@ -7864,9 +7811,7 @@ def q_doc_distinct_words(sf_dir: str):
     (n_exact, hll_estimate, err_x10000). Deterministic md5 register
     hashing keeps the output stable across runs; accuracy is additionally
     gated by tests/test_sketch.py."""
-    import zlib as _z
-
-    from .agg import tree_reduce
+    from .agg import exchange, tree_reduce
     from .sketch import HyperLogLog
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -7877,25 +7822,10 @@ def q_doc_distinct_words(sf_dir: str):
 
     wds = ds.map_batches(uniq_words, batch_format="pandas")
 
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["__bucket"] = np.fromiter(
-            (_z.crc32(w.encode()) % 32 for w in b["word"]),
-            dtype=np.int64,
-            count=len(b),
-        )
-        return b
-
     def count_distinct(group: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"n": [np.int64(group["word"].nunique())]})
 
-    n_exact = int(
-        wds.map_batches(bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(count_distinct, batch_format="pandas")
-        .to_pandas()["n"]
-        .sum()
-    )
+    n_exact = int(exchange(wds, "word", count_distinct).to_pandas()["n"].sum())
 
     def partial_hll(batch: pd.DataFrame) -> HyperLogLog:
         h = HyperLogLog(12)
@@ -8120,7 +8050,7 @@ def q_doc_shuffle_order(sf_dir: str):
             {
                 "doc_id": pd.Series(ids, dtype="int64"),
                 "__key": pd.Series(keys, dtype="object"),
-                "__bucket": pd.Series(
+                "__prefix": pd.Series(
                     [int(k[:2], 16) for k in keys], dtype="int64"
                 ),
             }
@@ -8130,20 +8060,20 @@ def q_doc_shuffle_order(sf_dir: str):
         keyed, batch_format="pandas"
     )
     counts = tree_aggregate(
-        ds, keys=["__bucket"], aggs={"cnt": ("doc_id", "count")}
+        ds, keys=["__prefix"], aggs={"cnt": ("doc_id", "count")}
     ).to_pandas()
-    counts = counts.sort_values("__bucket")
+    counts = counts.sort_values("__prefix")
     csum = np.cumsum(counts["cnt"].to_numpy(np.int64))
     offsets = dict(
         zip(
-            counts["__bucket"].astype("int64"),
+            counts["__prefix"].astype("int64"),
             np.concatenate([[np.int64(0)], csum[:-1]]),
         )
     )
 
     def rank(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["__key", "doc_id"], kind="mergesort")
-        base = np.int64(offsets[int(g["__bucket"].iloc[0])])
+        base = np.int64(offsets[int(g["__prefix"].iloc[0])])
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].values,
@@ -8151,7 +8081,7 @@ def q_doc_shuffle_order(sf_dir: str):
             }
         )
 
-    return ds.groupby("__bucket").map_groups(rank, batch_format="pandas")
+    return ds.groupby("__prefix").map_groups(rank, batch_format="pandas")
 
 
 def q_doc_quantile_filter(sf_dir: str):

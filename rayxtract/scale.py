@@ -1,9 +1,9 @@
 """Size-derived exchange fan-out (the round-4 VERDICT top task).
 
-Every explicit exchange in this engine (``bucketed_join``,
-``bucketed_aggregate``, ``interval_join``, ``triangle_count``, the ad-hoc
-``__bucket`` columns in queries.py) hash-partitions into ``n_buckets``
-merge tasks. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
+Every explicit exchange in this engine (``agg.exchange`` — which
+``bucketed_aggregate`` and every keyed operator and query stage go
+through — plus ``bucketed_join``, ``interval_join`` and the flagship
+winner pass) hash-partitions into ``n_buckets`` merge tasks. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
 ~6% of a corpus-sized join into one task regardless of corpus size.
 This module derives the fan-out from the bytes actually flowing in:
 

@@ -9,7 +9,7 @@ base index and (b) the first occurrence within the delta itself.
 
 Design:
 
-* ``n_shards`` actors, each owning the ``fp_hash % n_shards`` slice of
+* ``n_shards`` actors, each owning the ``joins.bucket_of(fp, n_shards)`` slice of
   fingerprint space — the index scales horizontally and no actor ever
   holds more than its hash slice (at 10^12 docs: shard count scales
   with cluster size; each shard is a plain set/dict, spillable to a
@@ -26,11 +26,11 @@ Design:
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import ray
+
+from .joins import bucket_of
 
 
 @ray.remote
@@ -72,11 +72,7 @@ class FingerprintIndex:
         self.shards = [FingerprintShard.remote() for _ in range(self.n_shards)]
 
     def _shard_of(self, fps: pd.Series) -> np.ndarray:
-        return np.fromiter(
-            (zlib.crc32(fp.encode()) % self.n_shards for fp in fps),
-            dtype=np.int64,
-            count=len(fps),
-        )
+        return bucket_of(fps, self.n_shards)
 
     def load_base(self, ds, fp_col: str = "fp") -> None:
         """Bulk-load base fingerprints from a Dataset (streaming — one

@@ -327,21 +327,108 @@ def test_salted_bucket_ids_distribution():
     """The spread-side contract: cold keys land on shard 0 of their base
     bucket; a hot key's rows spread across exactly ``salt`` composite ids
     with near-even load (round-robin: max-min <= 1)."""
-    from rayxtract.joins import _bucket_of_int, salted_bucket_ids
+    from rayxtract.joins import bucket_of, salted_bucket_ids
 
     n_buckets, salt = 8, 4
     keys = np.array([0] * 1001 + [5, 9, 13] * 10, dtype=np.int64)
     hot = np.array([0], dtype=np.int64)
     ids = salted_bucket_ids(keys, n_buckets, hot, salt)
-    base0 = int(_bucket_of_int(np.array([0], dtype=np.int64), n_buckets)[0])
+    base0 = int(bucket_of(np.array([0], dtype=np.int64), n_buckets)[0])
     hot_ids, hot_counts = np.unique(ids[keys == 0], return_counts=True)
     assert sorted(hot_ids) == [base0 * salt + s for s in range(salt)]
     assert hot_counts.max() - hot_counts.min() <= 1
     for k in (5, 9, 13):
-        basek = int(
-            _bucket_of_int(np.array([k], dtype=np.int64), n_buckets)[0]
-        )
+        basek = int(bucket_of(np.array([k], dtype=np.int64), n_buckets)[0])
         assert set(ids[keys == k]) == {basek * salt}
+
+
+def _join_path(path, left, right, lk, rk, how):
+    from rayxtract.joins import auto_join, bucketed_join
+
+    if path == "bucketed":
+        return bucketed_join(left, right, lk, rk, n_buckets=4, how=how)
+    limit = 0 if path == "auto_exchange" else 500_000
+    return auto_join(left, right, lk, rk, how=how, broadcast_limit=limit)
+
+
+_JOIN_PATHS = ["bucketed", "auto_broadcast", "auto_exchange"]
+_HOWS = ["inner", "left", "right", "outer"]
+
+
+@pytest.mark.parametrize("how", _HOWS)
+@pytest.mark.parametrize("path", _JOIN_PATHS)
+def test_every_join_path_matches_pandas_on_60bit_keys(ray_session, path, how):
+    """Every join path and mode equals a pandas merge on int keys in a
+    2**60 range. The keys are neighbours 2**60 + 0..95, which all round to
+    the same few float64 values, so any float detour on the way (bucket
+    hash, block concat, null filling) joins keys that differ."""
+    import ray.data
+
+    rng = np.random.default_rng(60 + _HOWS.index(how))
+    base = 2**60
+    left = pd.DataFrame(
+        {
+            "k": (base + rng.integers(0, 64, 200)).astype("int64"),
+            "a": np.arange(200, dtype="int64"),
+        }
+    )
+    right = pd.DataFrame(
+        {
+            "rk": (base + rng.choice(np.arange(32, 96), 40, replace=False)).astype(
+                "int64"
+            ),
+            "b": np.arange(40, dtype="int64"),
+        }
+    )
+    assert len(set(left["k"].astype("float64"))) < left["k"].nunique()
+    got = _join_path(
+        path,
+        ray.data.from_pandas(left).repartition(3),
+        ray.data.from_pandas(right),
+        "k",
+        "rk",
+        how,
+    ).to_pandas()
+    exp = left.astype("Int64").merge(
+        right.astype("Int64"), left_on="k", right_on="rk", how=how
+    )
+    exp["k"] = exp["k"].fillna(exp["rk"])  # the engine coalesces the key
+
+    def canon(df):
+        cols = ["k", "a", "b"]
+        return (
+            df[cols].astype("Int64").sort_values(cols).reset_index(drop=True)
+        )
+
+    pd.testing.assert_frame_equal(canon(got), canon(exp), obj=f"{path}/{how}")
+
+
+@pytest.mark.parametrize("how", _HOWS)
+@pytest.mark.parametrize("path", _JOIN_PATHS)
+def test_every_join_path_rejects_null_keys(ray_session, path, how):
+    """A nullable-Int64 key holding NA fails naming the null keys on
+    every path and mode, whichever side holds it (pandas alone would
+    match NA to NA)."""
+    import ray.data
+
+    keys = pd.array([2**60 + 7, None], dtype="Int64")
+    clean = pd.Series([2**60 + 7, 5], dtype="int64")
+    for null_side in ("left", "right"):
+        left = pd.DataFrame(
+            {"k": keys if null_side == "left" else clean, "a": [1, 2]}
+        )
+        right = pd.DataFrame(
+            {"rk": keys if null_side == "right" else clean, "b": [3, 4]}
+        )
+        with pytest.raises(Exception, match="null join keys"):
+            _join_path(
+                path,
+                ray.data.from_pandas(left),
+                ray.data.from_pandas(right),
+                "k",
+                "rk",
+                how,
+            ).materialize()
 
 
 def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):

@@ -6,6 +6,7 @@ fixed 16, while every sandbox-tier workload keeps the round-1..4 layout
 import numpy as np
 import pandas as pd
 import pytest
+from test_queries import SF_DIR
 
 from rayxtract import scale
 from rayxtract.joins import auto_join, bucketed_join
@@ -95,6 +96,58 @@ def test_bucketed_join_uses_derived_fanout(ray_session):
     g = knn_graph_ivf(emb, k=2, n_cells=2, nprobe=2).to_pandas()
     assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
     assert set(g["vec_id"]) == set(range(40))
+    # sites that once used a fixed % 16 / % 32 fan-out (the raw query
+    # functions: the registry wrapper would re-stamp the hint from sf_dir)
+    from rayxtract import queries
+
+    scale.last_resolved = None
+    q2 = queries.q2_cheapest_supplier(SF_DIR).to_pandas()
+    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert len(q2) and q2["p_partkey"].is_unique
+    scale.last_resolved = None
+    words = queries.q_doc_distinct_words(SF_DIR)
+    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert int(words["n_exact"].iloc[0]) > 0
+
+
+def test_bucket_of_same_in_two_worker_processes(ray_session):
+    """String keys hash to the same buckets in separate worker processes
+    (Python's per-process str hash randomization must never leak into
+    placement) and in the calling process."""
+    import ray
+
+    from rayxtract.joins import bucket_of
+
+    keys = np.array(
+        [f"https://site{i % 7}.example/page/{i}" for i in range(500)] + ["", "é"],
+        dtype=object,
+    )
+
+    @ray.remote(max_calls=1)  # a fresh worker process per call
+    def place(ks):
+        import os
+
+        return os.getpid(), bucket_of(ks, 97)
+
+    (pid_a, a), (pid_b, b) = ray.get([place.remote(keys), place.remote(keys)])
+    assert pid_a != pid_b
+    assert a.dtype == np.int64 and ((a >= 0) & (a < 97)).all()
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, bucket_of(keys, 97))
+    assert len(np.unique(a)) > 50  # spread, not one hot bucket
+
+
+def test_extraction_resolves_its_own_small_fanout(small_corpus):
+    """A small extraction after a big job in the same process sizes its
+    winner pass from its OWN pages dir, not the leftover big hint."""
+    from rayxtract.ops import ExtractConfig
+    from rayxtract.pipeline import extraction_dataset
+
+    pages_dir, _ = small_corpus
+    scale.set_scale_hint(20 << 30)  # a big job ran before in this process
+    scale.last_resolved = None
+    extraction_dataset(pages_dir, ExtractConfig())  # runs the winner pass
+    assert scale.last_resolved == scale.MIN_BUCKETS
 
 
 def _rand_tables(rng, n_l=400, n_r=120):
