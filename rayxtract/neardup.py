@@ -6,42 +6,52 @@ it sidesteps collisions with uuid filenames (reference: utils.py:37) — so
 these are engine-first operators designed Ray-Data-native:
 
   * exact: md5 content hash -> tiny (fp, doc_id) shuffle -> min-id per group.
-  * MinHash/LSH: per-batch vectorized signatures -> explode to
-    (band, band_key, doc_id) rows -> groupby band bucket -> candidate pairs
-    -> signature-estimated Jaccard filter. The shuffle moves only band keys,
+  * LSH (MinHash, SimHash, embedding cosine): each family explodes its rows
+    to (band, band_key, id, ident) vectorized and brings a verify function;
+    :func:`_lsh_pairs` does the rest for all three. One ``agg.exchange`` on
+    band_key runs the one hot-bucket guard (:func:`_bucket_pairs`) per
+    bucket, and one exchange on the first id keeps each pair once
+    (:func:`_distinct_pairs`). The shuffles move only band keys and idents,
     never documents.
-  * SimHash: 64-bit sign-hash, banded into 4x16-bit keys for candidate
-    generation, Hamming-distance verify.
-  * embedding cosine: random-hyperplane LSH bucket -> within-bucket matmul.
+      - MinHash: per-batch vectorized signatures, band keys mixed from
+        signature slices, signature-estimated Jaccard after the pair step.
+      - SimHash: 64-bit sign-hash, banded into 4x16-bit keys, Hamming verify.
+      - embedding cosine: random-hyperplane LSH tables, in-bucket matmul.
+  * exact Jaccard: prefix filtering (PPJoin-lite) with guaranteed recall.
 
-Scale note: candidate-pair verification happens inside the bucket groups
-(map_groups), so nothing is materialized on the driver; cluster formation
-beyond pairs (connected components) is a driver-side union-find ONLY over the
-(small) verified-pair set.
+Every pair stage returns a Dataset; with no pair it is a typed empty one.
+Candidate verification happens inside the exchange buckets, so nothing is
+materialized on the driver; cluster formation beyond pairs (connected
+components) is a driver-side union-find ONLY over the (small) verified-pair
+set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from . import scale as _scale
+from .agg import exchange
 
 logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
-# hot-bucket guards (VERDICT r2 top-next #1): a degenerate band key —
+# the LSH candidate step, shared by the three LSH families
+#
+# Hot-bucket guard (VERDICT r2 top-next #1): a degenerate band key —
 # boilerplate-identical or empty-text docs sharing one signature, guaranteed
 # in real web corpora — must never produce an O(n^2) pair explosion inside a
-# single map_groups task. Buckets <= _BUCKET_SIZE_CAP keep exact all-pairs
-# behavior (unchanged on normal corpora); above it, identical full
-# signatures collapse to their min-id representative (star pairs preserve
-# connectivity for clustering at O(n) cost) and the distinct-signature
-# representatives are capped at _BUCKET_MAX_REPS with a logged skew metric.
+# single task. Groups <= _BUCKET_SIZE_CAP keep exact all-pairs behavior
+# (unchanged on normal corpora); above it, members with an equal ident
+# collapse to their min-id representative (star pairs preserve connectivity
+# for clustering at O(n) cost) and the distinct-ident representatives are
+# capped at _BUCKET_MAX_REPS with a logged skew metric.
 _BUCKET_SIZE_CAP = 256
 _BUCKET_MAX_REPS = 512
 
@@ -55,14 +65,6 @@ def _log_hot_bucket(kind: str, n_members: int, n_sigs: int, n_reps: int) -> None
     )
 
 
-def _all_pairs(ids: np.ndarray) -> pd.DataFrame:
-    """Vectorized all-pairs (doc_a < doc_b) over sorted unique int64 ids."""
-    i, j = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame(
-        {"doc_a": ids[i].astype("int64"), "doc_b": ids[j].astype("int64")}
-    )
-
-
 def _popcount64(x: np.ndarray) -> np.ndarray:
     """Per-element popcount of a uint64 array (numpy 1.x has no
     bitwise_count): bytes -> unpackbits -> row sums."""
@@ -72,6 +74,97 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
         np.ascontiguousarray(x).view(np.uint8).reshape(len(x), 8), axis=1
     )
     return bits.sum(axis=1).astype(np.int64)
+
+
+def _empty_frame(cols: dict[str, str]) -> pd.DataFrame:
+    """A zero-row frame with typed columns (column -> dtype)."""
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+
+
+def _no_pairs(cols: dict[str, str]):
+    """The typed empty result of a pair stage (Ray's zero-row Datasets
+    built any other way lose their columns)."""
+    import ray.data
+
+    return ray.data.from_pandas(_empty_frame(cols))
+
+
+_PAIR_COLS = {"doc_a": "int64", "doc_b": "int64"}
+
+
+class _Family(NamedTuple):
+    """What one LSH family adds to the shared candidate step."""
+
+    kind: str  # names the family in the hot-bucket warning
+    cols: dict[str, str]  # output column -> dtype; the first two are the ids
+    # (members, i, j) -> (keep mask or None for all, {score col: values});
+    # members are one group's rows sorted by id, i < j index pairs of them
+    verify: Callable
+    star: dict  # score values of a collapsed (rep, member) pair
+
+
+def _bucket_pairs(
+    rows: pd.DataFrame,
+    fam: _Family,
+    size_cap: int = _BUCKET_SIZE_CAP,
+    max_reps: int = _BUCKET_MAX_REPS,
+) -> pd.DataFrame:
+    """Verified pairs of every (band, band_key) group in ``rows`` — the one
+    hot-bucket guard. Singleton groups drop vectorized; each other group
+    dedupes and sorts its ids. A group of <= ``size_cap`` members verifies
+    all pairs. A bigger group collapses members with an equal ``ident`` to
+    their min-id rep, emits one (rep, member) star pair per collapsed member
+    with ``fam.star`` scores, and verifies all pairs among the first
+    ``max_reps`` reps, logging the cap."""
+    rows = rows.drop_duplicates(["band", "band_key", "id"])
+    size = rows.groupby(["band", "band_key"])["id"].transform("size")
+    rows = rows[size.to_numpy() > 1].sort_values(
+        ["band", "band_key", "id"], kind="mergesort"
+    )
+    a_col, b_col = list(fam.cols)[:2]
+    out = [_empty_frame(fam.cols)]
+    for _, m in rows.groupby(["band", "band_key"], sort=False):
+        ids = m["id"].to_numpy(np.int64)
+        if len(ids) > size_cap:
+            codes = pd.factorize(m["ident"])[0]
+            # codes number idents in id order: each first index is a rep
+            reps = np.unique(codes, return_index=True)[1]
+            rep_of = reps[codes]
+            star = np.flatnonzero(rep_of != np.arange(len(ids)))
+            stars = {c: np.full(len(star), v) for c, v in fam.star.items()}
+            out.append(
+                pd.DataFrame({a_col: ids[rep_of[star]], b_col: ids[star], **stars})
+            )
+            if len(reps) > max_reps:
+                _log_hot_bucket(fam.kind, len(ids), len(reps), max_reps)
+                reps = reps[:max_reps]
+            m, ids = m.iloc[reps], ids[reps]
+        i, j = np.triu_indices(len(ids), k=1)
+        keep, scores = fam.verify(m, i, j)
+        if keep is not None:
+            i, j = i[keep], j[keep]
+            scores = {c: v[keep] for c, v in scores.items()}
+        out.append(pd.DataFrame({a_col: ids[i], b_col: ids[j], **scores}))
+    return pd.concat(out, ignore_index=True).astype(fam.cols)
+
+
+def _distinct_pairs(cand, cols: dict[str, str]):
+    """The one distinct-pairs step, pinned: an exchange on the first id,
+    ``drop_duplicates`` per bucket (a pair found under several band keys
+    keeps one row). This is where a lazy pair chain executes; with no pair
+    left the result is the typed empty Dataset."""
+    a, b = list(cols)[:2]
+    pairs = exchange(cand, a, lambda f: f.drop_duplicates([a, b])).materialize()
+    return pairs if pairs.count() else _no_pairs(cols)
+
+
+def _lsh_pairs(bands, fam: _Family):
+    """Distinct verified pairs of one family's (band, band_key, id, ident)
+    rows: :func:`_bucket_pairs` per bucket of an exchange on band_key, then
+    :func:`_distinct_pairs`."""
+    cand = exchange(bands, "band_key", lambda rows: _bucket_pairs(rows, fam))
+    return _distinct_pairs(cand, fam.cols)
+
 
 __all__ = [
     "exact_dedup",
@@ -246,19 +339,16 @@ class MinHashBatch:
 
 
 def _explode_bands(batch: pd.DataFrame, n_bands: int) -> pd.DataFrame:
-    """(doc_id, sig) -> one row per (band, band_key, doc_id, sig_key).
+    """(doc_id, sig) -> one row per (band, band_key, id, ident).
 
     Band keys come from a vectorized sequential mix over each band's r
     signature values — (n_docs, n_bands) in r wrapping-uint64 rounds, no
-    per-row hashing. ``sig_key`` is the same mix over the FULL signature:
+    per-row hashing. ``ident`` is the same mix over the FULL signature:
     the hot-bucket guard collapses identical-signature members on it."""
     n = len(batch)
     if not n:
-        return pd.DataFrame(
-            {"band": pd.Series(dtype="int64"),
-             "band_key": pd.Series(dtype="int64"),
-             "doc_id": pd.Series(dtype="int64"),
-             "sig_key": pd.Series(dtype="int64")}
+        return _empty_frame(
+            {"band": "int64", "band_key": "int64", "id": "int64", "ident": "int64"}
         )
     sig_mat = np.stack(
         [np.asarray(s, dtype=np.int64) for s in batch["sig"]]
@@ -280,46 +370,37 @@ def _explode_bands(batch: pd.DataFrame, n_bands: int) -> pd.DataFrame:
         {
             "band": np.tile(np.arange(n_bands, dtype=np.int64), n),
             "band_key": keys.ravel(),
-            "doc_id": np.repeat(doc_ids, n_bands),
-            "sig_key": np.repeat(sig_key, n_bands),
+            "id": np.repeat(doc_ids, n_bands),
+            "ident": np.repeat(sig_key, n_bands),
         }
     )
 
 
-def _pairs_from_bucket(
-    group: pd.DataFrame,
-    size_cap: int = _BUCKET_SIZE_CAP,
-    max_reps: int = _BUCKET_MAX_REPS,
-) -> pd.DataFrame:
-    """Candidate pairs for one (band, band_key) bucket, hot-bucket-guarded.
+def _minhash_family() -> _Family:
+    """Every band collision is a candidate; the signature estimate that
+    verifies it needs both signatures, so it runs after the pair step."""
+    return _Family("minhash", _PAIR_COLS, lambda m, i, j: (None, {}), {})
 
-    Small buckets (<= size_cap members): exact all-pairs, identical to the
-    unguarded behavior. Degenerate buckets: identical full signatures
-    collapse to their min-id representative — each non-rep member emits ONE
-    (rep, member) star pair (trivially signature-identical downstream, and
-    connectivity-preserving for clustering) — and only distinct-signature
-    representatives (capped at max_reps, skew logged) go through
-    all-pairs."""
-    dd = group.drop_duplicates("doc_id")
-    ids = np.sort(dd["doc_id"].astype("int64").to_numpy())
-    n = len(ids)
-    empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                          "doc_b": pd.Series([], dtype="int64")})
-    if n < 2:
-        return empty
-    if n <= size_cap:
-        return _all_pairs(ids)
-    rep = dd.groupby("sig_key")["doc_id"].transform("min").astype("int64")
-    members = dd["doc_id"].astype("int64")
-    star = pd.DataFrame(
-        {"doc_a": rep[rep != members], "doc_b": members[rep != members]}
-    ).reset_index(drop=True)
-    reps = np.sort(rep.unique())
-    if len(reps) > max_reps:
-        _log_hot_bucket("minhash", n, len(reps), max_reps)
-        reps = reps[:max_reps]
-    rep_pairs = _all_pairs(reps) if len(reps) >= 2 else empty
-    return pd.concat([star, rep_pairs], ignore_index=True)
+
+def _join_ends(pairs, table, id_col: str, col: str, names: tuple[str, str]):
+    """``pairs`` (doc_a, doc_b, ...) with ``table``'s ``col`` joined onto
+    each end by ``id_col`` as ``names`` (two bucketed inner joins). Each
+    join hands its ids back as nullable Int64; they leave as plain int64,
+    because the second join reads the first one's schema and Ray cannot
+    express Int64 there (it logs a conversion error instead)."""
+    from .joins import bucketed_join
+
+    def rename(to: str):
+        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+            return batch.rename(columns={col: to}).astype(_PAIR_COLS)
+
+        return fn
+
+    for end, to in zip(("doc_a", "doc_b"), names):
+        pairs = bucketed_join(pairs, table, end, id_col).map_batches(
+            rename(to), batch_format="pandas"
+        )
+    return pairs
 
 
 def minhash_candidate_pairs(
@@ -328,19 +409,18 @@ def minhash_candidate_pairs(
     n_bands: int = 16,
     jaccard_threshold: float = 0.5,
     seed: int = 7,
-    bucket_size_cap: int = _BUCKET_SIZE_CAP,
-    bucket_max_reps: int = _BUCKET_MAX_REPS,
     cache: tuple[str, list] | None = None,
 ):
     """Verified near-duplicate pairs (doc_a < doc_b, jaccard_est >= thr).
 
-    Pipeline: signatures (actor pool) -> band explode -> bucket groupby ->
-    candidate pairs -> RE-JOIN signatures onto the pairs (bucketed hash
-    join on doc_a, then doc_b) -> vectorized signature-agreement estimate
-    -> threshold. Nothing corpus-sized ever lands on the driver: the
-    round-1 broadcast-lookup verify ``take_all()``-ed the full signature
-    table (VERDICT r1 "What's wrong" #1); the join moves only the
-    signatures of docs that actually appear in a candidate pair.
+    Pipeline: signatures (actor pool) -> band explode -> the shared LSH
+    pair step (:func:`_lsh_pairs`) -> RE-JOIN signatures onto the pairs
+    (bucketed hash join on doc_a, then doc_b) -> vectorized
+    signature-agreement estimate -> threshold. Nothing corpus-sized ever
+    lands on the driver: the round-1 broadcast-lookup verify
+    ``take_all()``-ed the full signature table (VERDICT r1 "What's wrong"
+    #1); the join moves only the signatures of docs that actually appear
+    in a candidate pair.
 
     The signature table is reused twice (banding + verification joins).
     By default it is pinned via ``materialize()`` — fine while
@@ -353,7 +433,7 @@ def minhash_candidate_pairs(
 
     The same ``cache`` also keeps the THRESHOLD-INDEPENDENT estimated pair
     set (doc_a, doc_b, jaccard_est for every LSH candidate): the entire
-    signature + banding + bucket-groupby + re-join chain is skipped on a
+    signature + banding + pair step + re-join chain is skipped on a
     cache hit and only the final threshold filter runs — callers that
     differ only in ``jaccard_threshold`` (pages_neardup_pairs at 0.45 vs
     pages_neardup_exact at 0.35) share one computation per corpus. The
@@ -363,19 +443,14 @@ def minhash_candidate_pairs(
     import ray.data
 
     from .artifact import artifact_dir, published, spill_and_reread
-    from .joins import bucketed_join
 
+    est_cols = {**_PAIR_COLS, "jaccard_est": "float64"}
     if cache:
         root, inputs = cache
         sig_dir = artifact_dir(
             root, "minhash_sigs", {"num_perm": num_perm, "seed": seed}, inputs
         )
-        est_dir = artifact_dir(
-            root, "minhash_est",
-            {"n_bands": n_bands, "size_cap": bucket_size_cap,
-             "max_reps": bucket_max_reps},
-            [sig_dir],
-        )
+        est_dir = artifact_dir(root, "minhash_est", {"n_bands": n_bands}, [sig_dir])
 
     def _thresholded(est_ds):
         def filt(batch: pd.DataFrame) -> pd.DataFrame:
@@ -421,29 +496,12 @@ def minhash_candidate_pairs(
     else:
         sigs = sigs.materialize()
 
-    bands = sigs.map_batches(
-        lambda b: _explode_bands(b, n_bands), batch_format="pandas"
+    pairs = _lsh_pairs(
+        sigs.map_batches(lambda b: _explode_bands(b, n_bands), batch_format="pandas"),
+        _minhash_family(),
     )
-    cand = (
-        bands.groupby(["band", "band_key"])
-        .map_groups(
-            lambda g: _pairs_from_bucket(g, bucket_size_cap, bucket_max_reps),
-            batch_format="pandas",
-        )
-    ).materialize()
-    if cand.count() == 0:
-        return _empty_pairs(
-            {"doc_a": "int64", "doc_b": "int64", "jaccard_est": "float64"}
-        )
-    pairs = cand.groupby(["doc_a", "doc_b"]).map_groups(
-        lambda g: g.head(1), batch_format="pandas"
-    )
-
-    def _rename_sig(to: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={"sig": to})
-
-        return fn
+    if not pairs.count():
+        return _no_pairs(est_cols)
 
     # signatures travel as raw bytes through the join: plain object columns
     # union cleanly with the pairs side's typed nulls (ndarray-valued
@@ -457,20 +515,11 @@ def minhash_candidate_pairs(
         ),
         batch_format="pandas",
     )
-    with_a = bucketed_join(pairs, sigs_b, "doc_a", "doc_id").map_batches(
-        _rename_sig("sig_a"), batch_format="pandas"
-    )
-    with_ab = bucketed_join(with_a, sigs_b, "doc_b", "doc_id").map_batches(
-        _rename_sig("sig_b"), batch_format="pandas"
-    )
+    with_ab = _join_ends(pairs, sigs_b, "doc_id", "sig", ("sig_a", "sig_b"))
 
     def estimate(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):
-            return pd.DataFrame(
-                {"doc_a": pd.Series([], dtype="int64"),
-                 "doc_b": pd.Series([], dtype="int64"),
-                 "jaccard_est": pd.Series([], dtype="float64")}
-            )
+            return _empty_frame(est_cols)
         sa = np.stack([np.frombuffer(s, dtype=np.int64) for s in batch["sig_a"]])
         sb = np.stack([np.frombuffer(s, dtype=np.int64) for s in batch["sig_b"]])
         return pd.DataFrame(
@@ -497,7 +546,7 @@ def ngram_jaccard_verify(
 ):
     """EXACT word-k-gram Jaccard over candidate pairs — fully distributed.
 
-    ``pairs`` is a Dataset/DataFrame of (doc_a, doc_b) candidates (e.g. from
+    ``pairs`` is a Dataset of (doc_a, doc_b) candidates (e.g. from
     minhash_candidate_pairs or simhash banding). Texts join onto the pairs
     via a bucketed hash join on doc_a then doc_b — mirroring the MinHash
     signature re-join — so NOTHING text-sized ever lands on the driver
@@ -508,39 +557,14 @@ def ngram_jaccard_verify(
     threshold — same outcome for threshold > 0). Returns
     (doc_a, doc_b, jaccard) with jaccard >= threshold.
     """
-    import ray.data
-
-    from .joins import bucketed_join
-
-    if isinstance(pairs, pd.DataFrame):
-        if not len(pairs):
-            return _empty_pairs(
-                {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
-            )
-        pairs_ds = ray.data.from_pandas(
-            pairs[["doc_a", "doc_b"]].astype("int64")
-        )
-    else:
-        pairs_ds = pairs.select_columns(["doc_a", "doc_b"]).materialize()
-        if pairs_ds.count() == 0:
-            return _empty_pairs(
-                {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
-            )
-
-    texts_ds = ds.select_columns([id_col, text_col])
-
-    def _rename(frm: str, to: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={frm: to})
-
-        return fn
-
-    with_a = bucketed_join(
-        pairs_ds, texts_ds, "doc_a", id_col
-    ).map_batches(_rename(text_col, "__text_a"), batch_format="pandas")
-    with_ab = bucketed_join(
-        with_a, texts_ds, "doc_b", id_col
-    ).map_batches(_rename(text_col, "__text_b"), batch_format="pandas")
+    cols = {**_PAIR_COLS, "jaccard": "float64"}
+    pairs_ds = pairs.select_columns(["doc_a", "doc_b"]).materialize()
+    if pairs_ds.count() == 0:
+        return _no_pairs(cols)
+    with_ab = _join_ends(
+        pairs_ds, ds.select_columns([id_col, text_col]), id_col, text_col,
+        ("__text_a", "__text_b"),
+    )
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         # a doc appearing in many candidate pairs tokenizes ONCE per
@@ -569,13 +593,7 @@ def ngram_jaccard_verify(
                 out["doc_a"].append(a)
                 out["doc_b"].append(b)
                 out["jaccard"].append(j)
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(out["doc_a"], dtype="int64"),
-                "doc_b": pd.Series(out["doc_b"], dtype="int64"),
-                "jaccard": pd.Series(out["jaccard"], dtype="float64"),
-            }
-        )
+        return pd.DataFrame(out).astype(cols)
 
     return with_ab.map_batches(verify, batch_format="pandas", batch_size=1024)
 
@@ -637,7 +655,6 @@ def prefix_filter_pairs(
     at jaccard 1.0 (set equality, no per-pair verification needed).
     Returns (doc_a, doc_b, jaccard >= threshold).
     """
-    import hashlib
     import math
 
     import ray
@@ -868,29 +885,19 @@ def prefix_filter_pairs(
              "doc_b": np.maximum(a, b_).astype("int64")}
         )
 
-    cand = (
-        prefixes.groupby("g")
-        .map_groups(gram_pairs, batch_format="pandas")
-    ).materialize()
-
-    verified = None
-    if cand.count():
-        pairs = cand.groupby(["doc_a", "doc_b"]).map_groups(
-            lambda g: g.head(1), batch_format="pandas"
-        )
-        verified = ngram_jaccard_verify(
-            ds, pairs, k=k, threshold=threshold, id_col=id_col,
-            text_col=text_col,
-        )
+    # pinned before the distinct-pairs exchange: chaining that exchange
+    # onto this CPU-heavy stage measured ~40% slower per call at sf0.001
+    cand = prefixes.groupby("g").map_groups(gram_pairs, batch_format="pandas")
+    pairs = _distinct_pairs(cand.materialize(), _PAIR_COLS)
+    verified = ngram_jaccard_verify(
+        ds, pairs, k=k, threshold=threshold, id_col=id_col, text_col=text_col
+    )
     if not n_collapsed:
-        return verified if verified is not None else _empty_pairs(
-            {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
-        )
-    if verified is not None:
-        # the expansion consumes `verified` through two joins (schema
-        # probe + union) — pin the small verified-pair table once or the
-        # whole candidate+verify chain re-executes per consumer
-        verified = verified.materialize()
+        return verified
+    # the expansion consumes `verified` through two joins (schema
+    # probe + union) — pin the small verified-pair table once or the
+    # whole candidate+verify chain re-executes per consumer
+    verified = verified.materialize()
 
     # ---- expansion back to member pairs (exact: Jaccard is a set
     # function and every member's gram set string-equals its rep's).
@@ -959,7 +966,7 @@ def prefix_filter_pairs(
         .map_groups(within_chunks, batch_format="pandas")
         .map_batches(expand_chunk, batch_format="pandas", batch_size=8)
     )
-    if verified is None:
+    if not verified.count():
         return within_pairs
 
     def _cm(mcol: str):
@@ -1172,98 +1179,82 @@ def simhash_signatures(ds):
     )
 
 
-def simhash_candidate_pairs(
-    ds,
-    max_hamming: int = 3,
-    bucket_size_cap: int = _BUCKET_SIZE_CAP,
-    bucket_max_reps: int = _BUCKET_MAX_REPS,
-):
+def _simhash_bands(batch: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id, simhash) -> one row per (band, band_key, id, ident): the
+    four 16-bit slices of the hash are its band keys, the hash its ident."""
+    sh = batch["simhash"].to_numpy(np.int64)
+    shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
+    keys = (sh.view(np.uint64)[:, None] >> shifts) & np.uint64(0xFFFF)
+    return pd.DataFrame(
+        {
+            "band": np.tile(np.arange(4, dtype=np.int64), len(sh)),
+            "band_key": keys.astype(np.int64).ravel(),
+            "id": np.repeat(batch["doc_id"].to_numpy(np.int64), 4),
+            "ident": np.repeat(sh, 4),
+        }
+    )
+
+
+def _simhash_family(max_hamming: int) -> _Family:
+    def verify(m: pd.DataFrame, i: np.ndarray, j: np.ndarray):
+        h = m["ident"].to_numpy(np.int64).view(np.uint64)
+        d = _popcount64(h[i] ^ h[j])
+        return d <= max_hamming, {"hamming": d}
+
+    return _Family(
+        "simhash", {**_PAIR_COLS, "hamming": "int64"}, verify, {"hamming": 0}
+    )
+
+
+def simhash_candidate_pairs(ds, max_hamming: int = 3):
     """Near-dup pairs by SimHash: band 64 bits into 4x16-bit keys (any pair
     within Hamming distance 3 must agree on >=1 band), verify in-bucket."""
-    sigs = simhash_signatures(ds)
-
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        rows = {"band": [], "band_key": [], "doc_id": [], "simhash": []}
-        for doc_id, sh in zip(batch["doc_id"], batch["simhash"]):
-            u = int(np.uint64(sh))
-            for band in range(4):
-                rows["band"].append(band)
-                rows["band_key"].append((u >> (band * 16)) & 0xFFFF)
-                rows["doc_id"].append(int(doc_id))
-                rows["simhash"].append(int(sh))
-        return pd.DataFrame(rows)
-
-    def hamming_pairs(ids: np.ndarray, hashes: np.ndarray) -> pd.DataFrame:
-        """Vectorized all-pairs Hamming verify: XOR matrix + popcount."""
-        i, j = np.triu_indices(len(ids), k=1)
-        xors = hashes[i] ^ hashes[j]
-        d = _popcount64(xors)
-        keep = d <= max_hamming
-        return pd.DataFrame(
-            {
-                "doc_a": ids[i[keep]].astype("int64"),
-                "doc_b": ids[j[keep]].astype("int64"),
-                "hamming": d[keep].astype("int64"),
-            }
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        """Hot-bucket-guarded (VERDICT r2 #1): small buckets verify exact
-        all-pairs; degenerate buckets collapse identical simhashes to a
-        min-id rep (star pairs, hamming 0) and pair only distinct-hash
-        representatives, capped with a logged skew metric."""
-        dd = group.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = dd["doc_id"].astype("int64").to_numpy()
-        hashes = dd["simhash"].astype("int64").to_numpy().view(np.uint64)
-        empty = pd.DataFrame(
-            {"doc_a": pd.Series([], dtype="int64"),
-             "doc_b": pd.Series([], dtype="int64"),
-             "hamming": pd.Series([], dtype="int64")}
-        )
-        if len(ids) < 2:
-            return empty
-        if len(ids) <= bucket_size_cap:
-            return hamming_pairs(ids, hashes)
-        rep = dd.groupby("simhash")["doc_id"].transform("min").astype("int64")
-        members = dd["doc_id"].astype("int64")
-        m = rep != members
-        star = pd.DataFrame(
-            {
-                "doc_a": rep[m].to_numpy(),
-                "doc_b": members[m].to_numpy(),
-                "hamming": np.zeros(int(m.sum()), dtype="int64"),
-            }
-        )
-        rep_df = dd.loc[(rep == members).to_numpy()]
-        rep_ids = rep_df["doc_id"].astype("int64").to_numpy()
-        rep_hashes = rep_df["simhash"].astype("int64").to_numpy().view(np.uint64)
-        if len(rep_ids) > bucket_max_reps:
-            _log_hot_bucket("simhash", len(ids), len(rep_ids), bucket_max_reps)
-            rep_ids = rep_ids[:bucket_max_reps]
-            rep_hashes = rep_hashes[:bucket_max_reps]
-        rp = hamming_pairs(rep_ids, rep_hashes) if len(rep_ids) >= 2 else empty
-        return pd.concat([star, rp], ignore_index=True)
-
-    pairs = (
-        sigs.map_batches(explode, batch_format="pandas")
-        .groupby(["band", "band_key"])
-        .map_groups(bucket_pairs, batch_format="pandas")
-    ).materialize()
-    if pairs.count() == 0:
-        return _empty_pairs(
-            {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
-        )
-    return pairs.groupby(["doc_a", "doc_b"]).map_groups(
-        lambda g: g.head(1), batch_format="pandas"
-    )
+    bands = simhash_signatures(ds).map_batches(_simhash_bands, batch_format="pandas")
+    return _lsh_pairs(bands, _simhash_family(max_hamming))
 
 
 # ---------------------------------------------------------------------------
 # embedding cosine near-dup (random-hyperplane LSH)
 
 
-def _empty_pairs(cols: dict[str, str]) -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+def _embedding_bands(
+    batch: pd.DataFrame, n_planes: int, n_tables: int, seed: int,
+    id_col: str, vec_col: str,
+) -> pd.DataFrame:
+    """(id, vector) -> one row per (band=table, band_key, id, ident). The
+    key is the table's hyperplane sign bits plus ``table << 32``; the ident
+    is the unit vector's float64 bytes, so byte-equal vectors collapse in a
+    hot bucket and verify reads the vectors back from it."""
+    vecs = np.stack(batch[vec_col].to_numpy())
+    planes = np.random.RandomState(seed).randn(n_tables, vecs.shape[1], n_planes)
+    norms = np.linalg.norm(vecs, axis=1)
+    norms[norms == 0] = 1.0
+    unit = (vecs / norms[:, None]).astype(np.float64)
+    pow2 = 1 << np.arange(n_planes)
+    keys = [
+        (((unit @ planes[t]) > 0) * pow2).sum(axis=1) + (t << 32)
+        for t in range(n_tables)
+    ]
+    idents = np.array([u.tobytes() for u in unit], dtype=object)
+    return pd.DataFrame(
+        {
+            "band": np.repeat(np.arange(n_tables, dtype=np.int64), len(unit)),
+            "band_key": np.concatenate(keys).astype(np.int64),
+            "id": np.tile(batch[id_col].to_numpy(np.int64), n_tables),
+            "ident": np.tile(idents, n_tables),
+        }
+    )
+
+
+def _embedding_family(threshold: float) -> _Family:
+    def verify(m: pd.DataFrame, i: np.ndarray, j: np.ndarray):
+        mat = np.frombuffer(b"".join(m["ident"]), dtype=np.float64)
+        mat = mat.reshape(len(m), -1)
+        sims = (mat @ mat.T)[i, j]
+        return sims >= threshold, {"cosine": sims}
+
+    cols = {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"}
+    return _Family("embedding", cols, verify, {"cosine": 1.0})
 
 
 def embedding_neardup_pairs(
@@ -1274,8 +1265,6 @@ def embedding_neardup_pairs(
     seed: int = 11,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    bucket_size_cap: int = _BUCKET_SIZE_CAP,
-    bucket_max_reps: int = _BUCKET_MAX_REPS,
 ):
     """Pairs with cosine >= threshold via multi-table random-hyperplane LSH.
 
@@ -1285,105 +1274,11 @@ def embedding_neardup_pairs(
     ann.knn_bruteforce; this is the scale path — expected recall for a pair
     at angle θ is 1-(1-(1-θ/π)^planes)^tables, NOT 1.0.
     """
-    planes_by_dim: dict[int, np.ndarray] = {}
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(batch[vec_col].to_numpy())
-        dim = vecs.shape[1]
-        if dim not in planes_by_dim:
-            planes_by_dim[dim] = np.random.RandomState(seed).randn(
-                n_tables, dim, n_planes
-            )
-        planes = planes_by_dim[dim]
-        norms = np.linalg.norm(vecs, axis=1)
-        norms[norms == 0] = 1.0
-        unit = (vecs / norms[:, None]).astype(np.float64)
-        ids = batch[id_col].astype("int64").values
-        frames = []
-        pow2 = 1 << np.arange(n_planes)
-        for t in range(n_tables):
-            keys = (((unit @ planes[t]) > 0) * pow2).sum(axis=1)
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "bucket": (keys + (t << 32)).astype("int64"),
-                        id_col: ids,
-                        "unit": list(unit),
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
-
-    def cos_pairs(ids: np.ndarray, mat: np.ndarray) -> pd.DataFrame:
-        sims = mat @ mat.T
-        ii, jj = np.where(np.triu(sims >= threshold, k=1))
-        return pd.DataFrame(
-            {
-                "vec_a": ids[ii].astype("int64"),
-                "vec_b": ids[jj].astype("int64"),
-                "cosine": sims[ii, jj].astype("float64"),
-            }
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        """Hot-bucket-guarded (VERDICT r2 #1): a degenerate bucket (e.g.
-        byte-identical embeddings of boilerplate docs) collapses identical
-        unit vectors to a min-id rep via an 8-byte content digest — star
-        pairs at cosine 1.0 — and only distinct-vector representatives
-        (capped, skew logged) pay the quadratic matmul + pair emit."""
-        ids = group[id_col].astype("int64").to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        empty = _empty_pairs(
-            {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"}
-        )
-        if len(ids) < 2:
-            return empty
-        mat = np.stack(group["unit"].to_numpy())[order]
-        if len(ids) <= bucket_size_cap:
-            return cos_pairs(ids, mat)
-        digests = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(m.tobytes(), digest_size=8).digest(), "big"
-                ) - (1 << 63)
-                for m in mat
-            ),
-            dtype=np.int64,
-            count=len(mat),
-        )
-        pos = np.arange(len(ids))
-        df = pd.DataFrame({"i": pos, "dig": digests})
-        rep_i = df.groupby("dig")["i"].transform("min").to_numpy()
-        m = rep_i != pos
-        star = pd.DataFrame(
-            {
-                "vec_a": ids[rep_i[m]].astype("int64"),
-                "vec_b": ids[pos[m]].astype("int64"),
-                "cosine": np.ones(int(m.sum()), dtype="float64"),
-            }
-        )
-        rep_mask = rep_i == pos
-        rep_ids = ids[rep_mask]
-        rep_mat = mat[rep_mask]
-        if len(rep_ids) > bucket_max_reps:
-            _log_hot_bucket("embedding", len(ids), len(rep_ids), bucket_max_reps)
-            rep_ids = rep_ids[:bucket_max_reps]
-            rep_mat = rep_mat[:bucket_max_reps]
-        rp = cos_pairs(rep_ids, rep_mat) if len(rep_ids) >= 2 else empty
-        return pd.concat([star, rp], ignore_index=True)
-
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    ).materialize()
-    if pairs.count() == 0:
-        return _empty_pairs({"vec_a": "int64", "vec_b": "int64", "cosine": "float64"})
-    # a pair can surface from several tables — keep one
-    return pairs.groupby(["vec_a", "vec_b"]).map_groups(
-        lambda g: g.head(1), batch_format="pandas"
+    bands = ds.map_batches(
+        lambda b: _embedding_bands(b, n_planes, n_tables, seed, id_col, vec_col),
+        batch_format="pandas",
     )
+    return _lsh_pairs(bands, _embedding_family(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -1510,7 +1405,10 @@ def cluster_pairs(pairs, driver_threshold: int = 1_000_000):
         # once so the upstream LSH/verify chain executes once (ADVICE r2)
         pairs = pairs.materialize()
         n = pairs.count()
-        small = pairs.to_pandas() if n <= driver_threshold else None
+        small = None
+        if n <= driver_threshold:
+            # a zero-row Dataset's to_pandas() has no columns
+            small = pairs.to_pandas() if n else _empty_frame(_PAIR_COLS)
     if small is not None:
         mapping = union_find_clusters(
             list(zip(small["doc_a"].astype(int), small["doc_b"].astype(int)))

@@ -1354,11 +1354,10 @@ def q_emb_knn_mutual(sf_dir: str):
     density signal mutual-kNN clustering and outlier pruning build on —
     a low mutual count marks a vector in a sparse region). Edges from
     the integer-exact kNN graph; the reciprocity join runs distributed
-    as a bucketed self-join on the composite "a:b" string key (string
-    keys first-class in the exchange), then a count combiner per
-    vector. Output (vec_id, n_mutual) for vectors with >= 1 mutual
-    edge; DuckDB mirrors with a reversed-pair self-join over the same
-    graph CTE."""
+    as a bucketed self-join on the packed int64 pair key (a << 32) | b,
+    then a count combiner per vector. Output (vec_id, n_mutual) for
+    vectors with >= 1 mutual edge; DuckDB mirrors with a reversed-pair
+    self-join over the same graph CTE. Ids must lie in [0, 2^31)."""
     from .agg import tree_aggregate
     from .ann import knn_graph_exact
     from .joins import bucketed_join
@@ -1367,18 +1366,26 @@ def q_emb_knn_mutual(sf_dir: str):
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), k=5
     ).materialize()  # n*k edge rows; consumed twice below
 
+    def packed(hi: pd.Series, lo: pd.Series) -> np.ndarray:
+        hi, lo = hi.to_numpy(np.int64), lo.to_numpy(np.int64)
+        ids = np.concatenate([hi, lo])
+        if len(ids) and (ids.min() < 0 or ids.max() >= 1 << 31):
+            raise ValueError(
+                "emb_knn_mutual packs two ids into one int64 key, so ids "
+                f"must lie in [0, 2^31); got ids in [{ids.min()}, {ids.max()}]"
+            )
+        return (hi << 32) | lo
+
     def fwd(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "k": b["vec_id"].astype(str) + ":" + b["nbr_id"].astype(str),
+                "k": packed(b["vec_id"], b["nbr_id"]),
                 "vec_id": b["vec_id"].astype("int64"),
             }
         )
 
     def rev(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"k": b["nbr_id"].astype(str) + ":" + b["vec_id"].astype(str)}
-        )
+        return pd.DataFrame({"k": packed(b["nbr_id"], b["vec_id"])})
 
     mutual = bucketed_join(
         g.map_batches(fwd, batch_format="pandas"),
@@ -4122,8 +4129,8 @@ def q_pages_neardup_exact(sf_dir: str):
     cands = minhash_candidate_pairs(
         docs, jaccard_threshold=0.35, cache=(root, [doc_spill])
     )
-    verified = ngram_jaccard_verify(docs, cands, k=3, threshold=0.5)
-    if isinstance(verified, pd.DataFrame):  # no candidates — nothing to cache
+    verified = ngram_jaccard_verify(docs, cands, k=3, threshold=0.5).materialize()
+    if not verified.count():  # no pairs — nothing to cache
         return verified
     return spill_and_reread(verified, pair_spill)
 

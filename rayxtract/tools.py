@@ -467,9 +467,9 @@ def neardup_prune(
     ).map_batches(with_ids, batch_format="pandas")
 
     cands = minhash_candidate_pairs(docs, jaccard_threshold=jaccard_candidates)
-    verified = ngram_jaccard_verify(docs, cands, k=3, threshold=jaccard_verify)
-    if not isinstance(verified, pd.DataFrame):
-        verified = verified.to_pandas()  # bounded by the dup population
+    verified = ngram_jaccard_verify(
+        docs, cands, k=3, threshold=jaccard_verify
+    ).to_pandas()  # bounded by the dup population
     n_pairs = len(verified)
     if n_pairs:
         clusters = cluster_pairs(verified)

@@ -98,35 +98,89 @@ def test_embedding_hot_bucket_bounded(ray_session):
     assert (ident["cosine"] >= 0.999).all()
 
 
-def _pair_set(df: pd.DataFrame, cols=("doc_a", "doc_b")) -> set:
-    return set(zip(df[cols[0]].astype(int), df[cols[1]].astype(int)))
+def _family_rows(kind: str):
+    """One LSH family's exploded (band, band_key, id, ident) rows over
+    inputs with pairwise-distinct idents, and its family. Identical idents
+    WOULD legitimately change the pair set under the guard."""
+    from rayxtract import neardup as nd
 
-
-def test_guarded_path_equivalent_on_distinct_sigs(ray_session):
-    """With no identical signatures and fewer reps than the cap, the
-    guarded path (size_cap=0 forces it for every bucket) must emit exactly
-    the unguarded pair set — the guard changes nothing on normal corpora."""
-    import ray.data
-
-    from rayxtract.neardup import MinHashBatch, minhash_candidate_pairs
-
-    # stride-5 sliding windows: adjacent jaccard ~0.78 — high enough for
-    # candidate pairs, low enough that no two docs share a full 64-perm
-    # signature (identical sigs WOULD legitimately change the pair set)
-    words = [f"w{i}" for i in range(200)]
-    texts = [" ".join(words[5 * i : 5 * i + 40]) for i in range(33)]
-    sigs = MinHashBatch().signatures(texts)
-    assert len({tuple(s.tolist()) for s in sigs}) == len(texts)  # precondition
-    df = pd.DataFrame(
-        {"doc_id": np.arange(len(texts), dtype="int64"), "text": texts}
+    # stride-10 sliding windows: adjacent docs share 30 of 40 words — high
+    # enough for band collisions, low enough that no two docs share a full
+    # signature or simhash
+    words = [f"w{i}" for i in range(400)]
+    texts = [" ".join(words[10 * i : 10 * i + 40]) for i in range(33)]
+    ids = np.arange(len(texts), dtype="int64")
+    if kind == "minhash":
+        sigs = nd.MinHashBatch().signatures(texts)
+        batch = pd.DataFrame({"doc_id": ids, "sig": sigs})
+        return nd._explode_bands(batch, 16), nd._minhash_family()
+    if kind == "simhash":
+        batch = pd.DataFrame(
+            {"doc_id": ids, "simhash": nd.SimHashBatch().signatures(texts)}
+        )
+        return nd._simhash_bands(batch), nd._simhash_family(24)
+    rng = np.random.RandomState(5)
+    vecs = np.ones(16) + 0.3 * rng.randn(40, 16)
+    batch = pd.DataFrame(
+        {"vec_id": np.arange(40, dtype="int64"), "embedding": list(vecs)}
     )
-    ds = ray.data.from_pandas(df)
-    normal = minhash_candidate_pairs(ds, jaccard_threshold=0.3).to_pandas()
-    guarded = minhash_candidate_pairs(
-        ds, jaccard_threshold=0.3, bucket_size_cap=0
-    ).to_pandas()
-    assert _pair_set(normal) == _pair_set(guarded)
-    assert len(normal) > 0  # the sliding windows do overlap
+    rows = nd._embedding_bands(batch, 6, 8, 11, "vec_id", "embedding")
+    return rows, nd._embedding_family(0.9)
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    a, b = df.columns[:2]
+    return (
+        df.drop_duplicates([a, b]).sort_values([a, b]).reset_index(drop=True)
+    )
+
+
+@pytest.mark.parametrize("kind", ["minhash", "simhash", "embedding"])
+def test_guarded_path_equivalent_on_distinct_sigs(kind):
+    """With pairwise-distinct idents and fewer reps than the cap, the
+    guarded path (size_cap=0 forces it for every group) must emit exactly
+    the all-pairs result — the guard changes nothing on normal corpora."""
+    from rayxtract.neardup import _bucket_pairs
+
+    rows, fam = _family_rows(kind)
+    assert rows.groupby("id")["ident"].first().is_unique  # precondition
+    normal = _canon(_bucket_pairs(rows, fam))
+    guarded = _canon(_bucket_pairs(rows, fam, size_cap=0))
+    pd.testing.assert_frame_equal(normal, guarded)
+    assert len(normal) > 0  # the inputs do collide in some band
+
+
+@pytest.mark.parametrize("kind", ["minhash", "simhash", "embedding"])
+def test_hot_bucket_rep_cap_logs_once(kind, caplog):
+    """One group with more distinct idents than _BUCKET_MAX_REPS pairs only
+    the first _BUCKET_MAX_REPS reps (by id) and logs ONE warning naming
+    the family."""
+    from rayxtract import neardup as nd
+
+    n = nd._BUCKET_MAX_REPS + 40
+    fam = {
+        "minhash": nd._minhash_family(),
+        "simhash": nd._simhash_family(3),
+        "embedding": nd._embedding_family(-1.0),
+    }[kind]
+    if kind == "embedding":
+        units = np.random.RandomState(2).randn(n, 4)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        idents = [u.tobytes() for u in units]
+    else:
+        idents = np.arange(n, dtype="int64") * 7
+    rows = pd.DataFrame(
+        {"band": 0, "band_key": 99, "id": np.arange(n, dtype="int64")[::-1],
+         "ident": idents[::-1]}
+    )
+    with caplog.at_level("WARNING", logger="rayxtract.neardup"):
+        out = nd._bucket_pairs(rows, fam)
+    hot = [r for r in caplog.records if "hot LSH bucket" in r.getMessage()]
+    assert len(hot) == 1 and f"({kind})" in hot[0].getMessage()
+    a, b = list(fam.cols)[:2]
+    assert len(out) > 0
+    assert out[[a, b]].to_numpy().max() < nd._BUCKET_MAX_REPS
+    assert (out[a] < out[b]).all()
 
 
 def test_prefix_filter_hot_bucket_collapsed_and_exact(ray_session):

@@ -172,6 +172,73 @@ def test_simhash_pairs(docs_ds):
     assert not any(3 in p for p in got)
 
 
+@pytest.mark.parametrize("gen", ["minhash", "simhash", "embedding"])
+def test_pair_stages_return_typed_empty_dataset(gen, ray_session):
+    """No near-dup in the input: every pair stage still returns a Dataset
+    (never a pandas frame) whose schema lists its columns, and clustering
+    it yields the typed empty frame."""
+    import ray.data
+
+    from rayxtract.neardup import (
+        cluster_pairs,
+        embedding_neardup_pairs,
+        minhash_candidate_pairs,
+        simhash_candidate_pairs,
+    )
+
+    if gen == "embedding":
+        vecs = pd.DataFrame(
+            {"vec_id": np.arange(5, dtype="int64"), "embedding": list(np.eye(5))}
+        )
+        out = embedding_neardup_pairs(ray.data.from_pandas(vecs))
+        names = ["vec_a", "vec_b", "cosine"]
+        as_docs = out.rename_columns({"vec_a": "doc_a", "vec_b": "doc_b"})
+    else:
+        docs = pd.DataFrame(
+            {
+                "doc_id": np.arange(5, dtype="int64"),
+                "text": [
+                    " ".join(f"u{i}w{j}" for j in range(30)) for i in range(5)
+                ],
+            }
+        )
+        f = minhash_candidate_pairs if gen == "minhash" else simhash_candidate_pairs
+        out = f(ray.data.from_pandas(docs))
+        names = ["doc_a", "doc_b", "jaccard_est" if gen == "minhash" else "hamming"]
+        as_docs = out
+    assert isinstance(out, ray.data.Dataset)
+    assert out.count() == 0
+    assert out.schema().names == names
+    clusters = cluster_pairs(as_docs)
+    assert len(clusters) == 0 and list(clusters.columns) == ["doc_id", "cluster"]
+
+
+def test_pair_joins_log_no_int64_conversion_error(docs_ds):
+    """The two bucketed joins of the MinHash estimate and of the exact
+    verify hand plain int64 ids to the second join, so Ray logs no
+    "Error converting dtype Int64 to Arrow" while reading its schema."""
+    import logging
+
+    from rayxtract.neardup import minhash_candidate_pairs, ngram_jaccard_verify
+
+    msgs: list[str] = []
+
+    class Record(logging.Handler):
+        def emit(self, record):
+            msgs.append(record.getMessage())
+
+    handler = Record()
+    log = logging.getLogger("ray.data")
+    log.addHandler(handler)
+    try:
+        cands = minhash_candidate_pairs(docs_ds, jaccard_threshold=0.5)
+        verified = ngram_jaccard_verify(docs_ds, cands, threshold=0.5).to_pandas()
+    finally:
+        log.removeHandler(handler)
+    assert len(verified) > 0
+    assert not [m for m in msgs if "Error converting dtype" in m]
+
+
 def test_union_find():
     from rayxtract.neardup import union_find_clusters
 
@@ -245,8 +312,9 @@ def test_embedding_neardup(emb_ds, ray_session):
     from rayxtract.neardup import embedding_neardup_pairs
 
     ds, _ = emb_ds
-    pairs = embedding_neardup_pairs(ds, threshold=0.98, n_planes=4, n_tables=12)
-    df = pairs if isinstance(pairs, pd.DataFrame) else pairs.to_pandas()
+    df = embedding_neardup_pairs(
+        ds, threshold=0.98, n_planes=4, n_tables=12
+    ).to_pandas()
     if len(df):
         assert (df["cosine"] >= 0.98).all()
         assert (df["vec_a"] < df["vec_b"]).all()

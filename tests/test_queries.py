@@ -253,3 +253,30 @@ def test_compress_ratio_signal(ray_session):
     rep = "spam spam spam " * 200
     rep_ratio = len(zlib.compress(rep.encode(), 6)) / len(rep.encode())
     assert rep_ratio < ratio.median()
+
+
+def test_emb_knn_mutual_rejects_ids_outside_packed_range(tmp_path):
+    """The reciprocity join packs (a, b) into one int64 key (a << 32) | b,
+    so an id outside [0, 2^31) must fail loudly rather than collide."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    from rayxtract.queries import q_emb_knn_mutual
+
+    rng = np.random.RandomState(0)
+    ids = [0, 1, 2, 3, 4, 5, 6, 1 << 31]
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(ids, type=pa.int64()),
+                "embedding": pa.array(
+                    [rng.randn(8).tolist() for _ in ids], type=pa.list_(pa.float64())
+                ),
+            }
+        ),
+        str(tmp_path / "embeddings.parquet"),
+    )
+    with pytest.raises(Exception, match=r"\[0, 2\^31\)"):
+        q_emb_knn_mutual(str(tmp_path)).materialize()
