@@ -15,8 +15,9 @@ When the result is corpus-sized (e.g. dedup by content hash) the shuffle
 is the honest cost and no combiner can help: :func:`exchange` is the one
 keyed hash exchange every such operator goes through (bucket placement by
 ``joins.bucket_of``, fan-out by ``scale.resolve``), the LSH band buckets
-and pair dedup of ``neardup`` included, and :func:`bucketed_aggregate` is
-the combiner-then-exchange aggregate built on it.
+and pair dedup of ``neardup`` and the bucketed, interval and as-of joins
+of ``joins`` included, and :func:`bucketed_aggregate` is the
+combiner-then-exchange aggregate built on it.
 """
 
 from __future__ import annotations

@@ -1,25 +1,31 @@
-"""Distributed joins: native hash join, explicit bucketed join, as-of join.
+"""Distributed joins: one keyed exchange, one broadcast merge.
 
 The reference has NO relational joins (only point lookups by primary key,
 reference: main.py:410-418, workers.py:45) — these are engine-first
 operators for the training-data workloads this engine targets.
 
-Three strategies, chosen by shape:
+Every join runs on one of two private mechanisms:
 
-  * broadcast (small side): ``ray.put`` the small table once, dict-lookup
-    per batch — no shuffle (see queries.q_top_customers).
-  * ``hash_join`` — Ray's native ``Dataset.join`` (hash-partitioned both
-    sides). Right default for two large tables.
-  * ``bucketed_join`` — the explicit, portable pattern: tag sides, add a
-    ``bucket_of(key, B)`` column, one groupby(bucket), per-bucket
-    pandas merge. Use when you need control over B / skew salting, or as
-    the documented fallback where Dataset.join is unavailable.
-  * ``asof_join`` — per-key sort + ``pd.merge_asof`` inside groups: the
-    latest right row with ``r.ts <= l.ts`` per left row.
+  * the exchange (``_exchange_join``): each side's schema is read once,
+    rows are aligned to both sides' columns (typed nulls for the other
+    side's), tagged with their side and routed through ``agg.exchange`` —
+    the same fan-out (``scale.resolve``) and placement (``bucket_of``) as
+    every other keyed stage. Only the per-bucket merge differs:
+    ``bucketed_join`` (pandas merge, inner|left|right|outer, hot-key
+    salting), ``interval_join`` (merge, then the range filter) and
+    ``asof_join`` (``pd.merge_asof`` by key).
+  * the broadcast (``_small_side`` + ``_broadcast_join``): the right side
+    is materialized once and, at or under a row limit, shipped with
+    ``ray.put`` and merged into every left batch — no shuffle of the left
+    side, whose columns come from each batch (it is never probed).
+    ``auto_join`` (inner|left) and ``interval_join`` choose it by size;
+    ``auto_join`` right/outer always runs the exchange.
 
-Skew note: a hot key floods one bucket; salt it (split the hot key into
-``key#0..key#s`` on the build side, replicate the probe side) — bucket
-count and salting are explicit here, which is the point of the pattern.
+Skew note: a hot key floods one bucket; ``bucketed_join(hot_keys=...)``
+salts it (left rows spread over ``salt`` shards, right rows replicated
+to every shard, the merge keyed on key + shard so replicas never meet
+twice). A side with no schema (e.g. everything filtered out) raises a
+ValueError naming the side.
 """
 
 from __future__ import annotations
@@ -28,48 +34,20 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from . import scale as _scale
-
 __all__ = [
     "auto_join",
-    "hash_join",
     "bucketed_join",
     "asof_join",
     "interval_join",
     "bloom_prefilter",
     "find_hot_keys",
-    "salted_bucket_ids",
     "bucket_of",
 ]
 
-
-def hash_join(
-    left, right, on: str, right_on: str, num_partitions: int | None = None,
-    how: str = "inner",
-):
-    """Native hash-shuffled join (Dataset.join); ``how`` in inner|left.
-
-    num_partitions defaults to ~2x cluster CPUs: the 2.49 hash-shuffle
-    operator stalls when partition count far exceeds the placeable
-    aggregator actors on small clusters (measured hang at 32 partitions on
-    4 CPUs)."""
-    if how not in ("inner", "left"):
-        raise ValueError(f"unsupported join type {how!r}")
-    if num_partitions is None:
-        import ray
-
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(64, cpus * 2))
-    return left.join(
-        right,
-        join_type="left_outer" if how == "left" else "inner",
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=(right_on,),
-    )
+_HOWS = ("inner", "left", "right", "outer")
+# exchange-internal columns: the side tag, the int64 exchange key, the
+# salt shard of a hot key, and interval_join's left-row number
+_SIDE, _XKEY, _SHARD, _LROW = "__side", "__x", "__shard", "__lrow"
 
 
 _NULL_KEYS = (
@@ -160,17 +138,26 @@ def _int_nullable_mapper(t):
     float64 — silently corrupting integer values above 2**53 (the 60-bit
     url-hash doc ids of tools.neardup_prune hit this; every id <= ~1e15
     is float-exact, which is why the TPC-H/pages oracles never saw it).
-    Joins route every pyarrow batch through this mapper so int columns
-    cross the exchange losslessly regardless of nulls."""
+    Joins route every pyarrow batch through :func:`_to_pandas_lossless`,
+    which applies this mapper to int columns holding nulls."""
     if pa.types.is_integer(t):
         return pd.Int64Dtype()
     return None
 
 
-def _to_pandas_lossless(tbl) -> pd.DataFrame:
-    if isinstance(tbl, pa.Table):
-        return tbl.to_pandas(types_mapper=_int_nullable_mapper)
-    return tbl
+def _to_pandas_lossless(block) -> pd.DataFrame:
+    """A pandas frame of one block or batch: pandas frames as they are;
+    arrow int columns holding nulls become nullable Int64, not float64."""
+    if not isinstance(block, pa.Table):
+        return block
+    frame = block.to_pandas()
+    holed = [
+        f.name for f in block.schema
+        if pa.types.is_integer(f.type) and block[f.name].null_count
+    ]
+    if holed:
+        frame[holed] = block.select(holed).to_pandas(types_mapper=_int_nullable_mapper)
+    return frame
 
 
 def _null_for(dtype: str):
@@ -179,43 +166,6 @@ def _null_for(dtype: str):
     if dtype == "datetime64[us]":
         return pd.NaT
     return pd.NA  # Int64 / object
-
-
-def _dtype_map(*datasets) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for ds in datasets:
-        schema = ds.schema()
-        for name, typ in zip(schema.names, schema.types):
-            if typ is None:
-                # Ray reports None for pandas-extension-dtype columns it
-                # cannot express in its schema (e.g. a nullable Int64
-                # block column). The dtype is UNKNOWN here — record None
-                # and leave the column untouched downstream rather than
-                # guessing: np.dtype(None) is float64, and that guess
-                # silently corrupted integer keys above 2**53
-                # (tools.neardup_prune's 60-bit url-hash ids).
-                out.setdefault(name, None)
-            elif out.get(name) is None:
-                out[name] = _pandas_dtype_of(typ)
-    return out
-
-
-def salted_bucket_ids(
-    keys: np.ndarray, n_buckets: int, hot: np.ndarray, salt: int
-) -> np.ndarray:
-    """Composite bucket ids for the SPREAD side of a salted join: normal
-    keys land in ``base_bucket * salt`` (salt shard 0); rows of a hot key
-    are spread round-robin across its ``salt`` shards
-    ``base_bucket * salt + 0..salt-1``. Which shard a given hot row lands
-    in is deliberately arbitrary (round-robin within the batch): the probe
-    side replicates hot rows to ALL shards, so shard assignment cannot
-    change the join result — only the per-task load. Pure helper so the
-    distribution contract is unit-testable without running a join."""
-    ids = bucket_of(keys, n_buckets) * np.int64(salt)
-    if len(hot):
-        m = np.isin(keys, hot)
-        ids[m] += np.arange(int(m.sum()), dtype=np.int64) % np.int64(salt)
-    return ids
 
 
 def find_hot_keys(
@@ -295,6 +245,182 @@ def bloom_prefilter(
     return probe.map_batches(prune, batch_format="pandas")
 
 
+def _side_dtypes(ds, side: str) -> dict[str, str | None]:
+    """Column -> pandas dtype of one join side, read from its schema.
+
+    Ray reports type ``None`` for pandas-extension block columns it cannot
+    express (e.g. a nullable Int64 column); that dtype is UNKNOWN, so it
+    maps to ``None`` and the column is left untouched rather than guessed:
+    np.dtype(None) is float64, and that guess once silently corrupted
+    integer keys above 2**53 (tools.neardup_prune's 60-bit url-hash ids)."""
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError(
+            f"the {side} join side is empty and has no schema (every row was "
+            "filtered out before its columns were known); skip the join or "
+            "give that side typed columns"
+        )
+    return {
+        name: None if typ is None else _pandas_dtype_of(typ)
+        for name, typ in zip(schema.names, schema.types)
+    }
+
+
+def _nullable(frame: pd.DataFrame, cols) -> dict[str, str]:
+    """The dtype each of ``cols`` keeps when padded with nulls."""
+    return {c: _pandas_dtype_of(frame[c].dtype) for c in cols}
+
+
+def _spread_shards(keys: np.ndarray, hot: np.ndarray, salt: int) -> np.ndarray:
+    """Salt shard of every row on the SPREAD (left) side of a salted join:
+    0 for cold keys; a hot key's rows round-robin over ``0..salt-1``.
+    Which shard a hot row gets is arbitrary: the right side replicates
+    hot rows to every shard, so it changes task load, never the result."""
+    shard = np.zeros(len(keys), dtype=np.int64)
+    m = np.isin(keys, hot)
+    shard[m] = np.arange(int(m.sum()), dtype=np.int64) % np.int64(salt)
+    return shard
+
+
+def _exchange_join(
+    left, right, left_key, right_key, merge, n_buckets=None, hot=(), salt=1
+):
+    """The one two-sided exchange behind every non-broadcast join.
+
+    Each side's schema is read once. Every row is aligned to the union of
+    both sides' columns (the other side's as typed nulls, so block schemas
+    agree), tagged with its side, and routed through ``agg.exchange`` on
+    an int64 image of its key (``_key_ints``: exact ints, hashed strings;
+    a null key raises). ``merge(l, r)`` runs once per bucket on that
+    bucket's left rows (left columns) and right rows (right columns); a
+    bucket may hold several keys.
+
+    ``hot`` (keys as ``_key_ints_seq``) salts those keys: left rows
+    spread over ``salt`` shards, right rows are replicated to all of
+    them, and each row carries its shard in ``__shard``. The exchange key
+    mixes in the shard so a hot key's shards spread over buckets; shards
+    that share a bucket stay apart because ``merge`` joins on the key and
+    ``__shard``."""
+    from .agg import exchange
+
+    ldt, rdt = _side_dtypes(left, "left"), _side_dtypes(right, "right")
+    # a left dtype wins unless it is unknown
+    dtypes = {**rdt, **{c: t for c, t in ldt.items() if t is not None or c not in rdt}}
+    left_cols, right_cols = list(ldt), list(rdt)
+    all_cols = left_cols + [c for c in right_cols if c not in ldt]
+    salted = len(hot) > 0
+    extra = [_SHARD] if salted else []
+
+    def prep(side: int, key: str):
+        def fn(tbl) -> pd.DataFrame:
+            b = _to_pandas_lossless(tbl)
+            for c in all_cols:
+                dt = dtypes[c]
+                if c not in b.columns:
+                    b[c] = pd.Series(
+                        _null_for(dt or "object"), index=b.index, dtype=dt or "object"
+                    )
+                elif dt is not None:
+                    b[c] = b[c].astype(dt)
+            x = _key_ints(b[key].to_numpy())
+            b[_SIDE] = np.int8(side)
+            if salted:
+                if side == 0:
+                    shard = _spread_shards(x, hot, salt)
+                else:  # replicate hot rows once per shard
+                    reps = np.where(np.isin(x, hot), salt, 1)
+                    rows = np.repeat(np.arange(len(b)), reps)
+                    b, x = b.iloc[rows].reset_index(drop=True), x[rows]
+                    shard = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+                b[_SHARD] = shard.astype(np.int64)
+                mix = shard.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
+                x = (x.view(np.uint64) + mix).view(np.int64)
+            b[_XKEY] = x
+            return b[all_cols + [_SIDE, _XKEY] + extra]
+
+        return fn
+
+    both = left.map_batches(prep(0, left_key), batch_format="pyarrow").union(
+        right.map_batches(prep(1, right_key), batch_format="pyarrow")
+    )
+
+    def run(group: pd.DataFrame) -> pd.DataFrame:
+        side = group[_SIDE].to_numpy()
+        return merge(
+            group.loc[side == 0, left_cols + extra],
+            group.loc[side == 1, right_cols + extra],
+        )
+
+    return exchange(both, _XKEY, run, n_buckets)
+
+
+def _small_side(right, limit: int):
+    """Materialize ``right`` (its one execution) and return it with, when
+    it holds at most ``limit`` rows, the whole side as one pandas frame
+    (else ``None``). The frame comes from the materialized blocks, so a
+    zero-row side keeps its typed columns (``to_pandas`` drops them); the
+    row count and schema are block metadata and run nothing."""
+    import ray
+
+    right = right.materialize()
+    dtypes = _side_dtypes(right, "right")
+    if right.count() > limit:
+        return right, None
+    parts = [
+        _to_pandas_lossless(ray.get(ref))
+        for bundle in right.iter_internal_ref_bundles()
+        for ref, _ in bundle.blocks
+    ]
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return right, pd.DataFrame(
+            {c: pd.Series(dtype=dt or "object") for c, dt in dtypes.items()}
+        )
+    return right, pd.concat(parts, ignore_index=True)
+
+
+def _broadcast_join(left, frame: pd.DataFrame, merge):
+    """Ship ``frame`` once with ``ray.put`` and run ``merge(batch, frame)``
+    on every left batch: no shuffle of the left side, and its columns come
+    from each batch, so it is never probed for a schema."""
+    import ray
+
+    ref = ray.put(frame)
+    return left.map_batches(
+        lambda batch: merge(batch, ray.get(ref)), batch_format="pandas"
+    )
+
+
+def _equi_merge(left_key: str, right_key: str, how: str):
+    """The pandas merge of ``bucketed_join`` buckets and ``auto_join``
+    broadcast batches. Output: the left columns, then the right columns
+    minus ``right_key``. Columns of a null-padded side keep nullable
+    dtypes; for right/outer the left key is coalesced from the right key
+    so unmatched right rows keep their key. Salted rows also match on
+    ``__shard``, so replicated right rows never meet a left row twice."""
+
+    def merge(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        lk, rk = [left_key], [right_key]
+        if _SHARD in l.columns:
+            lk.append(_SHARD)
+            rk.append(_SHARD)
+        j = l.merge(r, left_on=lk, right_on=rk, how=how)
+        if how in ("right", "outer") and right_key != left_key:
+            j[left_key] = j[left_key].fillna(j[right_key])
+        out_l = [c for c in l.columns if c != _SHARD]
+        out_r = [c for c in r.columns if c not in (right_key, _SHARD)]
+        padded = {}
+        if how in ("right", "outer"):
+            padded.update(_nullable(l, out_l))
+        if how in ("left", "outer"):
+            padded.update(_nullable(r, out_r))
+        for c, dt in padded.items():
+            j[c] = j[c].astype(dt)
+        return j[out_l + out_r]
+
+    return merge
+
+
 def bucketed_join(
     left,
     right,
@@ -305,106 +431,34 @@ def bucketed_join(
     hot_keys=None,
     salt: int = 8,
 ):
-    """Explicit partitioned hash join: tag + union + groupby(bucket) +
-    per-bucket pandas merge. ``how`` in inner|left|right|outer (left
+    """Explicit partitioned hash join on the two-sided exchange, one
+    pandas merge per bucket. ``how`` in inner|left|right|outer (left
     preserves every left row; right preserves every right row; outer
     preserves both sides — for right/outer the left key column is
     coalesced from the right key so unmatched right rows keep their key);
-    int OR string keys first-class (strings hash to a bucket id via
-    _key_ints; the merge itself runs on the raw column). Missing-side
-    columns travel as typed nulls (nullable Int64 etc.) so the union's
-    block schemas agree.
+    int OR string keys first-class (the merge runs on the raw column).
+    Output: left columns, then right columns minus ``right_key``.
 
     SKEW SALTING (``hot_keys``): a hot key hashes every one of its rows
-    into ONE bucket — one merge task carries the whole key (the
-    degenerate-key hazard VERDICT r2 flagged for LSH buckets applies to
-    joins identically). Passing ``hot_keys`` (an explicit set, e.g. from
-    :func:`find_hot_keys`) splits each hot key's LEFT rows round-robin
-    across ``salt`` shards and REPLICATES the hot key's right rows to all
-    shards, bounding any merge task at ~|hot|/salt left rows. Composite
-    bucket ids (``base * salt + shard``) keep shards collision-free, so
-    replicated right rows can never meet twice. Inner|left only: an outer
-    join would emit one unmatched-right row per shard."""
-    if how not in ("inner", "left", "right", "outer"):
+    into ONE bucket — one merge task carries the whole key. Passing
+    ``hot_keys`` (an explicit set, e.g. from :func:`find_hot_keys`)
+    splits each hot key's LEFT rows round-robin across ``salt`` shards
+    and REPLICATES its right rows to all shards, bounding any merge task
+    at ~|hot|/salt left rows. The merge matches on key + shard, so
+    replicated right rows never meet twice, even where two shards share a
+    bucket. Inner|left only: an outer join would emit one unmatched-right
+    row per shard."""
+    if how not in _HOWS:
         raise ValueError(f"unsupported join type {how!r}")
-    n_buckets = _scale.resolve(n_buckets)  # size-derived unless explicit
-    hot_arr = _key_ints_seq(hot_keys or ())
-    if len(hot_arr) and how in ("right", "outer"):
+    hot = _key_ints_seq(hot_keys or ())
+    if len(hot) and how in ("right", "outer"):
         raise ValueError("hot-key salting supports how='inner'|'left' only")
     if salt < 1:
         raise ValueError("salt must be >= 1")
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in right.schema().names]
-    out_cols = left_cols + [c for c in right_cols if c != right_key]
-    dtypes = _dtype_map(left, right)
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
-
-    def prep(side: int, key: str):
-        def fn(tbl) -> pd.DataFrame:
-            batch = _to_pandas_lossless(tbl)
-            b = batch.copy()
-            for c in all_cols:
-                if c not in b.columns:
-                    dt = dtypes[c] if dtypes[c] is not None else "object"
-                    b[c] = pd.Series(
-                        _null_for(dt), index=b.index, dtype=dt
-                    )
-                elif dtypes[c] is not None:
-                    b[c] = b[c].astype(dtypes[c])
-            keys = _key_ints(batch[key].to_numpy())
-            if not len(hot_arr):
-                b["__bucket"] = bucket_of(keys, n_buckets)
-                b["__side"] = np.int8(side)
-                return b[all_cols + ["__bucket", "__side"]]
-            if side == 0:  # spread side
-                b["__bucket"] = salted_bucket_ids(
-                    keys, n_buckets, hot_arr, salt
-                )
-                b["__side"] = np.int8(side)
-                return b[all_cols + ["__bucket", "__side"]]
-            # probe side: replicate hot rows to every salt shard
-            base = bucket_of(keys, n_buckets) * np.int64(salt)
-            m = np.isin(keys, hot_arr)
-            cold = b[~m].copy()
-            cold["__bucket"] = base[~m]
-            parts = [cold]
-            hot_rows = b[m]
-            for s in range(salt):
-                rep = hot_rows.copy()
-                rep["__bucket"] = base[m] + np.int64(s)
-                parts.append(rep)
-            out = pd.concat(parts, ignore_index=True)
-            out["__side"] = np.int8(side)
-            return out[all_cols + ["__bucket", "__side"]]
-
-        return fn
-
-    both = left.map_batches(prep(0, left_key), batch_format="pyarrow").union(
-        right.map_batches(prep(1, right_key), batch_format="pyarrow")
+    return _exchange_join(
+        left, right, left_key, right_key, _equi_merge(left_key, right_key, how),
+        n_buckets, hot, salt,
     )
-
-    def merge_bucket(tbl) -> pd.DataFrame:
-        group = _to_pandas_lossless(tbl)
-        l = group[group["__side"] == 0][left_cols]
-        r = group[group["__side"] == 1][right_cols]
-        j = l.merge(r, left_on=left_key, right_on=right_key, how=how)
-        if how == "left":
-            # unmatched right columns must keep their declared nullable
-            # dtypes (a bucket with zero right rows can degrade them)
-            for c in right_cols:
-                if c != right_key and dtypes[c] is not None:
-                    j[c] = j[c].astype(dtypes[c])
-        elif how in ("right", "outer"):
-            # unmatched RIGHT rows have no left key value — coalesce it
-            # from the right key so every output row keeps its key
-            if right_key != left_key:
-                j[left_key] = j[left_key].fillna(j[right_key])
-            for c in out_cols:
-                if dtypes[c] is not None:
-                    j[c] = j[c].astype(dtypes[c])
-        return j[out_cols]
-
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
 
 
 def asof_join(
@@ -416,59 +470,30 @@ def asof_join(
     suffix: str = "_r",
 ):
     """Per-key as-of join: for each left row, the latest right row with
-    ``right.ts <= left.ts`` (exact matches allowed). Both inputs must carry
-    ``key`` and ``ts_col``; right contributes ``right_value_cols`` renamed
-    with ``suffix``. Implementation: tag + union + groupby(key) +
-    sorted ``pd.merge_asof`` per group — the partitioned-log pattern for
-    streaming-shaped data (events are complete, no watermarks)."""
-    l_cols = [c for c in left.schema().names]
-    dtypes = _dtype_map(left, right)
-    all_cols = l_cols + [c for c in right_value_cols if c not in l_cols]
-    out_value_cols = [c + suffix for c in right_value_cols]
+    the same ``key`` and ``right.ts <= left.ts`` (exact matches allowed).
+    Both inputs must carry ``key`` and ``ts_col``; right contributes
+    ``right_value_cols`` renamed with ``suffix`` (typed nulls where no
+    right row qualifies). Runs on the two-sided exchange keyed by ``key``:
+    one ``pd.merge_asof(..., by=key)`` per bucket — the partitioned-log
+    pattern for streaming-shaped data (events are complete, no
+    watermarks)."""
+    renamed = {c: c + suffix for c in right_value_cols}
 
-    def prep(side: int):
-        def fn(tbl) -> pd.DataFrame:
-            batch = _to_pandas_lossless(tbl)
-            b = batch.copy()
-            for c in all_cols:
-                if c not in b.columns:
-                    dt = dtypes[c] if dtypes[c] is not None else "object"
-                    b[c] = pd.Series(
-                        _null_for(dt), index=b.index, dtype=dt
-                    )
-                elif dtypes[c] is not None:
-                    b[c] = b[c].astype(dtypes[c])
-            b["__side"] = np.int8(side)
-            return b[all_cols + ["__side"]]
-
-        return fn
-
-    both = left.map_batches(prep(0), batch_format="pyarrow").union(
-        right.map_batches(prep(1), batch_format="pyarrow")
-    )
-
-    def merge_group(tbl) -> pd.DataFrame:
-        group = _to_pandas_lossless(tbl)
-        l = group[group["__side"] == 0][l_cols].sort_values(ts_col, kind="mergesort")
+    def merge(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        l = l.sort_values(ts_col, kind="mergesort")
         r = (
-            group[group["__side"] == 1][[key, ts_col] + right_value_cols]
-            .rename(columns={c: c + suffix for c in right_value_cols})
+            r[[key, ts_col] + right_value_cols]
+            .rename(columns=renamed)
             .sort_values(ts_col, kind="mergesort")
         )
-        if not len(l):
-            out = l.copy()
-            for c, rc in zip(right_value_cols, out_value_cols):
-                out[rc] = pd.Series(dtype=dtypes[c] or "object")
-            return out
-        if not len(r):
-            out = l.copy()
-            for c, rc in zip(right_value_cols, out_value_cols):
-                dt = dtypes[c] or "object"
-                out[rc] = pd.Series(_null_for(dt), index=out.index, dtype=dt)
-            return out
-        return pd.merge_asof(l, r, on=ts_col, by=key, direction="backward")
+        if len(l) and len(r):
+            return pd.merge_asof(l, r, on=ts_col, by=key, direction="backward")
+        out = l.copy()
+        for c, dt in _nullable(r, renamed.values()).items():
+            out[c] = pd.Series(_null_for(dt), index=out.index, dtype=dt)
+        return out
 
-    return both.groupby(key).map_groups(merge_group, batch_format="pyarrow")
+    return _exchange_join(left, right, key, key, merge)
 
 
 def interval_join(
@@ -491,94 +516,37 @@ def interval_join(
     columns. Output columns: left's + the interval side's minus ``key``.
 
     Physical plan, same size-adaptive choice as :func:`auto_join`: an
-    interval side at/under ``broadcast_limit`` rows ships once via
-    ``ray.put`` and every left batch range-merges map-side (zero
-    shuffle); above it, both sides hash-bucket by ``key`` (int or
-    string) and each bucket merges-then-filters. Per-key candidate
+    interval side at/under ``broadcast_limit`` rows takes the broadcast
+    merge (zero shuffle); above it, the two-sided exchange on ``key``
+    (int or string) merges-then-filters each bucket. Per-key candidate
     fan-out is |L_k| x |I_k| before the range filter — a key carrying
     many overlapping windows concentrates that product in one task, the
     same hot-key hazard bucketed_join salts; keep per-key interval
     counts bounded upstream."""
-    import ray
-
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")
-    n_buckets = _scale.resolve(n_buckets)
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in intervals.schema().names]
-    out_cols = left_cols + [c for c in right_cols if c != key]
-    dtypes = _dtype_map(left, intervals)
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
 
-    def range_merge(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
-        l = l.copy()
-        l["__lrow"] = np.arange(len(l), dtype=np.int64)
-        j = l.merge(r, on=key, how="left" if how == "left" else "inner")
-        ok = ((j[start_col] <= j[ts_col]) & (j[ts_col] < j[end_col])).fillna(
-            False
-        )
-        if how == "inner":
-            j = j[ok].drop(columns="__lrow")
+    def merge(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        out_r = [c for c in r.columns if c != key]
+        dtypes = {**_nullable(l, l.columns), **_nullable(r, out_r)}
+        l = l.reset_index(drop=True)
+        l[_LROW] = np.arange(len(l), dtype=np.int64)
+        j = l.merge(r, on=key, how=how)
+        ok = ((j[start_col] <= j[ts_col]) & (j[ts_col] < j[end_col])).fillna(False)
+        if how == "left":
+            # a left row with >= 1 range hit emits its hit rows; one with
+            # none emits exactly ONE row with typed-null interval columns
+            misses = j[~j[_LROW].isin(j.loc[ok, _LROW])].drop_duplicates(_LROW)
+            misses = misses.assign(**{c: _null_for(dtypes[c]) for c in out_r})
+            j = pd.concat([j[ok], misses])
         else:
-            # every left row with >= 1 range hit emits its hit rows; a
-            # left row with none emits exactly ONE row with typed-null
-            # interval columns
-            hits = j[ok]
-            hit_rows = set(hits["__lrow"])
-            misses = j[~j["__lrow"].isin(hit_rows)].drop_duplicates("__lrow")
-            misses = misses.copy()
-            for c in right_cols:
-                if c != key:
-                    misses[c] = _null_for(dtypes[c] or "object")
-            j = pd.concat([hits, misses]).drop(columns="__lrow")
-        for c in out_cols:
-            if dtypes[c] is not None:
-                j[c] = j[c].astype(dtypes[c])
-        return j[out_cols]
+            j = j[ok]
+        return j.drop(columns=_LROW).astype(dtypes)[list(dtypes)]
 
-    intervals = intervals.materialize()
-    if intervals.count() <= broadcast_limit:
-        r_pd = intervals.to_pandas()
-        r_ref = ray.put(r_pd)
-
-        def merge(batch: pd.DataFrame) -> pd.DataFrame:
-            return range_merge(
-                batch[left_cols].reset_index(drop=True), ray.get(r_ref)
-            )
-
-        return left.map_batches(merge, batch_format="pandas")
-
-    def prep(side: int):
-        def fn(tbl) -> pd.DataFrame:
-            batch = _to_pandas_lossless(tbl)
-            b = batch.copy()
-            for c in all_cols:
-                if c not in b.columns:
-                    dt = dtypes[c] if dtypes[c] is not None else "object"
-                    b[c] = pd.Series(
-                        _null_for(dt), index=b.index, dtype=dt
-                    )
-                elif dtypes[c] is not None:
-                    b[c] = b[c].astype(dtypes[c])
-            b["__bucket"] = bucket_of(batch[key].to_numpy(), n_buckets)
-            b["__side"] = np.int8(side)
-            return b[all_cols + ["__bucket", "__side"]]
-
-        return fn
-
-    both = left.map_batches(prep(0), batch_format="pyarrow").union(
-        intervals.map_batches(prep(1), batch_format="pyarrow")
-    )
-
-    def merge_bucket(tbl) -> pd.DataFrame:
-        group = _to_pandas_lossless(tbl)
-        l = group[group["__side"] == 0][left_cols].reset_index(drop=True)
-        r = group[group["__side"] == 1][right_cols]
-        return range_merge(l, r)
-
-    return both.groupby("__bucket").map_groups(
-        merge_bucket, batch_format="pyarrow"
-    )
+    intervals, frame = _small_side(intervals, broadcast_limit)
+    if frame is not None:
+        return _broadcast_join(left, frame, merge)
+    return _exchange_join(left, intervals, key, key, merge, n_buckets)
 
 
 def auto_join(
@@ -590,109 +558,29 @@ def auto_join(
     broadcast_limit: int = 500_000,
     n_buckets: int | None = None,
 ):
-    """Size-adaptive join — the AQE-style physical-plan choice: if the
-    RIGHT side (materialized once; callers pass the smaller/dimension
-    side) is at or under ``broadcast_limit`` rows, ship it ONCE via
-    ``ray.put`` and merge map-side in every left batch (zero shuffle of
-    the fact side); past the limit, fall back to the bucketed hash
-    exchange. Output contract (columns, dtypes, typed nulls for the
+    """Size-adaptive join — the AQE-style physical-plan choice. For
+    inner|left, the RIGHT side (callers pass the smaller/dimension side)
+    is materialized once; at or under ``broadcast_limit`` rows it is
+    shipped once and merged into every left batch (zero shuffle of the
+    fact side), past the limit both sides take the bucketed exchange.
+    right|outer always take the exchange: unmatched right rows are only
+    visible there. Output contract (columns, dtypes, typed nulls for the
     outer sides, a ValueError for null keys) is identical on both paths —
-    equivalence is randomized-tested. All four ``how`` modes are supported:
-
-    * inner/left broadcast: one streaming merge per left batch.
-    * right/outer broadcast (r4 VERDICT task 7): the streamed part is
-      the inner (right) / left (outer) merge; the unmatched RIGHT rows
-      — which no per-batch view can see — come from one extra
-      key-projected semi-join pass over ``left`` (per batch, intersect
-      the batch's keys with the broadcast key set; only matched DISTINCT
-      right-key values move, bounded by |right| <= broadcast_limit).
-      The residual right rows are coalesced driver-side (right side is
-      already driver-resident by construction) and unioned in.
-    """
-    import ray
-
-    if how not in ("inner", "left", "right", "outer"):
+    equivalence is randomized-tested."""
+    if how not in _HOWS:
         raise ValueError(f"unsupported join type {how!r}")
-    right = right.materialize()
-    if right.count() > broadcast_limit:
-        return bucketed_join(
-            left, right, left_key, right_key, n_buckets=n_buckets, how=how
-        )
-    right_pd = right.to_pandas()
-    if right_pd[right_key].isna().any():
+    if how in ("right", "outer"):
+        return bucketed_join(left, right, left_key, right_key, n_buckets, how)
+    right, frame = _small_side(right, broadcast_limit)
+    if frame is None:
+        return bucketed_join(left, right, left_key, right_key, n_buckets, how)
+    if frame[right_key].isna().any():
         raise ValueError(_NULL_KEYS)
-    dtypes = _dtype_map(left, right)
-    left_cols = [c for c in left.schema().names]
-    right_cols = list(right_pd.columns)
-    out_cols = left_cols + [c for c in right_cols if c != right_key]
-    r_ref = ray.put(right_pd)
-    stream_how = {"right": "inner", "outer": "left"}.get(how, how)
+    equi = _equi_merge(left_key, right_key, how)
 
-    def merge(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch[left_key].isna().any():  # same contract as the exchange path
+    def merge(batch: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        if batch[left_key].isna().any():  # same contract as the exchange
             raise ValueError(_NULL_KEYS)
-        r = ray.get(r_ref)
-        j = batch[left_cols].merge(
-            r, left_on=left_key, right_on=right_key, how=stream_how
-        )
-        if stream_how == "left":  # typed nulls, same as the exchange path
-            for c in right_cols:
-                if c != right_key and dtypes[c] is not None:
-                    j[c] = j[c].astype(dtypes[c])
-        return j[out_cols]
+        return equi(batch, r)
 
-    streamed = left.map_batches(merge, batch_format="pandas")
-    if how in ("inner", "left"):
-        return streamed
-
-    # right/outer: find which broadcast keys matched at all — a cheap
-    # key-column-only pass (column prune reaches the parquet read when
-    # `left` is a fresh read); per-batch output is the INTERSECTION with
-    # the right key set, so nothing larger than |right| ever moves. RAW
-    # key values (not hashes) — same no-collision contract as the
-    # per-bucket merges.
-    rk_ref = ray.put(np.unique(right_pd[right_key].to_numpy()))
-
-    def matched_in_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        rk = ray.get(rk_ref)
-        bk = batch[left_key].to_numpy()
-        return pd.DataFrame({"__mk": np.intersect1d(bk, rk)})
-
-    matched_parts = (
-        left.select_columns([left_key])
-        .map_batches(matched_in_batch, batch_format="pandas")
-        .to_pandas()
-    )
-    matched = (
-        set(matched_parts["__mk"].tolist()) if len(matched_parts) else set()
-    )
-    residual = right_pd[~right_pd[right_key].isin(matched)].copy()
-    # unmatched right rows: left columns are typed nulls except the key,
-    # which coalesces from the right key (bucketed_join's contract)
-    for c in left_cols:
-        if c == left_key:
-            continue
-        residual[c] = pd.Series(
-            _null_for(dtypes[c] or "object"), index=residual.index,
-            dtype=dtypes[c] or "object" 
-        )
-    residual[left_key] = residual[right_key]
-    residual = residual[out_cols]
-    for c in out_cols:
-        if dtypes[c] is not None:
-            residual[c] = residual[c].astype(dtypes[c])
-
-    def coerce(batch: pd.DataFrame) -> pd.DataFrame:
-        for c in out_cols:
-            if dtypes[c] is not None:
-                batch[c] = batch[c].astype(dtypes[c])
-        return batch[out_cols]
-
-    streamed = streamed.map_batches(coerce, batch_format="pandas")
-    if not len(residual):
-        return streamed
-    import ray.data as rd
-
-    return streamed.union(
-        rd.from_pandas(residual).map_batches(coerce, batch_format="pandas")
-    )
+    return _broadcast_join(left, frame, merge)

@@ -420,18 +420,20 @@ def q_events_type_counts(sf_dir: str):
 
 
 def q_join_orders_customer(sf_dir: str):
-    """Native hash-shuffled join (Dataset.join) of two large-ish tables."""
-    from .joins import hash_join
+    """Orders joined to their customer's name through the bucketed
+    exchange join of two large-ish tables; the right key column is
+    dropped, as in every ``bucketed_join`` output."""
+    from .joins import bucketed_join
 
     o = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     c = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    # Dataset.join does not retain the right key column
-    return hash_join(o, c, on="o_custkey", right_on="c_custkey")
+    return bucketed_join(o, c, "o_custkey", "c_custkey")
 
 
 def q_join_supplier_nation(sf_dir: str):
-    """Explicit bucketed hash join (tag + union + groupby(bucket) +
-    per-bucket merge) — the portable pattern with controllable B/salting."""
+    """Explicit bucketed hash join (both sides through one keyed
+    exchange, one pandas merge per bucket) — the portable pattern with
+    controllable B/salting."""
     from .joins import bucketed_join
 
     s = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])
@@ -502,10 +504,8 @@ def q_orders_right_cust(sf_dir: str):
     every customer survives, customers without orders carry a typed-null
     o_orderkey, coalesced to -1 for the driver hash. Exercises the
     right-preserving merge + key-coalescing path directly — via
-    ``auto_join`` (r4 VERDICT task 7): below the broadcast limit the
-    right side ships once and the unmatched-customer residual comes from
-    the key-projected matched-set pass; above it, the bucketed exchange
-    runs the identical contract."""
+    ``auto_join``, whose right/outer modes always take the bucketed
+    exchange (unmatched right rows are only visible there)."""
     from .joins import auto_join
 
     o = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])

@@ -1,9 +1,12 @@
 """Size-derived exchange fan-out (the round-4 VERDICT top task).
 
-Every explicit exchange in this engine (``agg.exchange`` — which
-``bucketed_aggregate`` and every keyed operator and query stage go
-through — plus ``bucketed_join``, ``interval_join`` and the flagship
-winner pass) hash-partitions into ``n_buckets`` merge tasks. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
+Every explicit exchange in this engine hash-partitions into
+``n_buckets`` merge tasks. All of them but one go through
+``agg.exchange`` — ``bucketed_aggregate``, every keyed operator and query
+stage, and every join (``bucketed_join``, ``interval_join``,
+``asof_join`` and ``auto_join`` past its broadcast limit); the flagship
+winner pass is the only remaining direct placement by
+``joins.bucket_of``. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
 ~6% of a corpus-sized join into one task regardless of corpus size.
 This module derives the fan-out from the bytes actually flowing in:
 

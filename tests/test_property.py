@@ -2,6 +2,8 @@
 randomized equivalence checks for the Ray-backed join/topk/dedup operators
 (few iterations — each drives a real Ray job)."""
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -323,23 +325,20 @@ def test_interval_join_matches_pandas_reference(ray_session):
                 )
 
 
-def test_salted_bucket_ids_distribution():
-    """The spread-side contract: cold keys land on shard 0 of their base
-    bucket; a hot key's rows spread across exactly ``salt`` composite ids
-    with near-even load (round-robin: max-min <= 1)."""
-    from rayxtract.joins import bucket_of, salted_bucket_ids
+def test_spread_shards_round_robin_hot_keys_only():
+    """The spread-side contract of a salted join: cold keys stay on shard
+    0; a hot key's rows spread across exactly ``salt`` shards with
+    near-even load (round-robin: max-min <= 1)."""
+    from rayxtract.joins import _spread_shards
 
-    n_buckets, salt = 8, 4
+    salt = 4
     keys = np.array([0] * 1001 + [5, 9, 13] * 10, dtype=np.int64)
     hot = np.array([0], dtype=np.int64)
-    ids = salted_bucket_ids(keys, n_buckets, hot, salt)
-    base0 = int(bucket_of(np.array([0], dtype=np.int64), n_buckets)[0])
-    hot_ids, hot_counts = np.unique(ids[keys == 0], return_counts=True)
-    assert sorted(hot_ids) == [base0 * salt + s for s in range(salt)]
+    shards = _spread_shards(keys, hot, salt)
+    hot_ids, hot_counts = np.unique(shards[keys == 0], return_counts=True)
+    assert hot_ids.tolist() == list(range(salt))
     assert hot_counts.max() - hot_counts.min() <= 1
-    for k in (5, 9, 13):
-        basek = int(bucket_of(np.array([k], dtype=np.int64), n_buckets)[0])
-        assert set(ids[keys == k]) == {basek * salt}
+    assert set(shards[keys != 0]) == {0}
 
 
 def _join_path(path, left, right, lk, rk, how):
@@ -456,13 +455,15 @@ def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
     hot = find_hot_keys(ray.data.from_pandas(left), "k", min_frac=0.3)
     assert hot == {0}, hot
 
-    for how in ("inner", "left"):
+    # n_buckets 1 and 2 put several (or all) salt shards of the hot key in
+    # one bucket: replicated right rows must still meet each left row once
+    for n_buckets, how in itertools.product((1, 2, 4), ("inner", "left")):
         plain = bucketed_join(
             ray.data.from_pandas(left),
             ray.data.from_pandas(right),
             "k",
             "rk",
-            n_buckets=4,
+            n_buckets=n_buckets,
             how=how,
         ).to_pandas()
         salted = bucketed_join(
@@ -470,7 +471,7 @@ def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
             ray.data.from_pandas(right),
             "k",
             "rk",
-            n_buckets=4,
+            n_buckets=n_buckets,
             how=how,
             hot_keys=hot,
             salt=5,
@@ -478,8 +479,8 @@ def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
         key_cols = ["k", "lv", "rv"]
         a = plain[key_cols].astype("float64").sort_values(key_cols).reset_index(drop=True)
         b = salted[key_cols].astype("float64").sort_values(key_cols).reset_index(drop=True)
-        assert len(a) == len(b), how
-        pd.testing.assert_frame_equal(a, b, obj=how)
+        assert len(a) == len(b), (n_buckets, how)
+        pd.testing.assert_frame_equal(a, b, obj=f"{n_buckets}/{how}")
 
 
 def test_topk_matches_full_sort_randomized(ray_session):
