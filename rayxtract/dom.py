@@ -1,10 +1,20 @@
-"""From-scratch DOM boilerplate stripper on stdlib ``html.parser``.
+"""From-scratch DOM boilerplate stripper in one streaming pass.
 
-Readability-style main-content extraction: build a tag tree, prune
-non-content tags and penalty-classed subtrees, score candidate paragraphs by
-length + punctuation, aggregate scores into their nearest container element,
-pick the best container, and emit its paragraphs joined with ``"\n"`` with a
+Readability-style main-content extraction: prune non-content tags and
+penalty-classed subtrees, score candidate paragraphs by length +
+punctuation, aggregate scores into their nearest container element, pick
+the best container, and emit its paragraphs joined with ``"\n"`` with a
 final ``.strip()``.
+
+No tree is built. :func:`_events` runs the tokenizer regex and the stack
+rules (pop-to-match end tags, implicit ``</p>``, void and self-closed tags,
+rawtext) over the input once; :func:`extract_main_content` keeps one small
+frame per open element (dead or live, nearest container, inside a link)
+and the text of the one candidate paragraph open at a time, and scores
+each paragraph as it closes. Link and anchor extraction
+(``graph._anchors_of``) reads the same events, so the library has one
+HTML path. ``tests/dom_oracle.py`` keeps the tree-building extractor this
+replaced, and the html.parser tree, as the test oracles.
 
 The join/strip conventions (``"\n"`` between text units, strip the final
 result, whitespace collapsed inside a unit) deliberately mirror the
@@ -19,17 +29,20 @@ never on block boundaries, actor identity or parallelism (SURVEY.md §7.4).
 from __future__ import annotations
 
 import re
-from html.parser import HTMLParser
 
 __all__ = ["extract_main_content", "normalize_ws", "DomConfig"]
-
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize_ws(s: str) -> str:
     """Collapse whitespace runs to single spaces and strip."""
-    # " ".join(split()) == _WS_RE.sub(" ", s).strip() for all \s chars,
-    # via C string machinery (~2.5x faster than the regex)
+    # Every str.isspace() character except ' ' is non-printable (checked
+    # over all code points in tests/test_dom.py), so a printable string
+    # with no double, leading or trailing space is already normalized —
+    # one C scan instead of a split + join.
+    if s.isprintable() and "  " not in s and s[:1] != " " and s[-1:] != " ":
+        return s
+    # " ".join(split()) == re.sub(r"\s+", " ", s).strip() for all \s
+    # chars, via C string machinery (~2.5x faster than the regex)
     return " ".join(s.split())
 
 
@@ -103,190 +116,148 @@ _P_CLOSERS = frozenset(
 )
 
 
-class _Node:
-    __slots__ = ("tag", "attrs", "children", "parent")
-
-    def __init__(self, tag: str, attrs, parent) -> None:
-        self.tag = tag
-        self.attrs = attrs
-        self.children: list = []  # str (text) | _Node
-        self.parent = parent
-
-
-class _TreeBuilder(HTMLParser):
-    """Tolerant tag-tree builder (auto-closes mismatched tags)."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("#root", (), None)
-        self.cur = self.root
-
-    def handle_starttag(self, tag, attrs):
-        if tag in VOID_TAGS:
-            self.cur.children.append(_Node(tag, tuple(attrs), self.cur))
-            return
-        # implicit </p>
-        if tag in _P_CLOSERS:
-            node = self.cur
-            while node is not self.root:
-                if node.tag == "p":
-                    self.cur = node.parent
-                    break
-                if node.tag in CONTAINER_TAGS or node.tag == "#root":
-                    break
-                node = node.parent
-        child = _Node(tag, tuple(attrs), self.cur)
-        self.cur.children.append(child)
-        self.cur = child
-
-    def handle_startendtag(self, tag, attrs):
-        self.cur.children.append(_Node(tag, tuple(attrs), self.cur))
-
-    def handle_endtag(self, tag):
-        # pop to the nearest matching open tag; ignore stray closers
-        node = self.cur
-        while node is not self.root:
-            if node.tag == tag:
-                self.cur = node.parent
-                return
-            node = node.parent
-
-    def handle_data(self, data):
-        if data:
-            self.cur.children.append(data)
-
-
 # --------------------------------------------------------------------------
-# fast tokenizer: same tree semantics as the HTMLParser builder (verified
-# A/B on the synthetic corpus), ~4x faster. html.parser spends most time in
+# Tokenizer: one regex alternation scanned left to right. At each '<' the
+# alternatives are tried in the order html.parser would decide: a tag, a
+# comment, a declaration or processing instruction, a bogus end tag, and
+# otherwise a stray '<' that stays text. html.parser spends most time in
 # its generic state machine; the page shapes here need only tags, text,
 # comments, doctype and rawtext (script/style) handling.
-
-# attr scan is GREEDY-linear (unquoted runs / quoted strings, no lazy
-# backtracking): 2-3.5x faster than the lazy form on attr-heavy tags,
+#
+# The tag's attr scan is GREEDY-linear (unquoted runs / quoted strings, no
+# lazy backtracking): 2-3.5x faster than the lazy form on attr-heavy tags,
 # equal semantics (a trailing '/' lands in the attr group and is split
 # off in code as the self-close flag; unterminated quotes fail the match
-# in both forms and fall to the stray-'<' path). Name charset mirrors
-# html.parser's TOLERANT mode: a letter followed by anything but
-# whitespace / '/' / '>' — so soup like `<p<td>` parses as one unknown
-# element named "p<td" (exactly what the stdlib reference does), not as
-# a paragraph with garbage attrs (quote characters in names included).
-# `</ div>`-style space-after-slash end tags are accepted like the
-# stdlib too. Known residual divergence from the stdlib (documented,
-# adversarial-only): quoted '>' inside end-tag junk.
-_TAG_RE = re.compile(
-    r"<(?:(/)\s*)?([a-zA-Z][^\t\n\r\f />]*)"
-    r"([^>\"']*(?:\"[^\"]*\"[^>\"']*|'[^']*'[^>\"']*)*)>",
+# and fall to the stray-'<' path). Name charset mirrors html.parser's
+# TOLERANT mode: a letter followed by anything but whitespace / '/' / '>'
+# — so soup like `<p<td>` parses as one unknown element named "p<td"
+# (exactly what the stdlib reference does), not as a paragraph with
+# garbage attrs (quote characters in names included). `</ div>`-style
+# space-after-slash end tags are accepted like the stdlib too. Known
+# residual divergence from the stdlib (documented, adversarial-only):
+# quoted '>' inside end-tag junk. Unterminated comments, declarations and
+# processing instructions run to the end of input.
+_TOKEN_RE = re.compile(
+    r"([^<]*)"  # 1: text up to the next '<'
+    r"(?:<(?:(/)\s*)?([a-zA-Z][^\t\n\r\f />]*)"  # 2: end-tag slash, 3: name
+    r"([^>\"']*(?:\"[^\"]*\"[^>\"']*|'[^']*'[^>\"']*)*)>"  # 4: raw attrs
+    r"|<!--(?:.*?-->|.*)"
+    r"|<[!?][^>]*>?"
+    r"|</[^>]*>"
+    r"|(<)"  # 5: stray '<'
+    r"|\Z)",
     re.DOTALL,
 )
-_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
-_DECL_RE = re.compile(r"<![^>]*>", re.DOTALL)
 _RAWTEXT = {"script", "style", "textarea"}
 # case-insensitive close-tag scanners for rawtext content
 _RAWTEXT_CLOSE = {t: re.compile(f"</{t}", re.IGNORECASE) for t in _RAWTEXT}
 
 from html import unescape as _html_unescape  # noqa: E402
 
+# Event kinds of _events.
+_TEXT = 0  # character data only
+_OPEN = 1  # an element opens: the caller appends its frame
+_VOID = 2  # a void or self-closed element: it holds nothing
 
-def _build_tree_fast(html: str) -> "_Node":
-    """Tokenize + build the tag tree with the same implicit-close rules as
-    _TreeBuilder (void tags, <p> auto-close, pop-to-match end tags)."""
-    root = _Node("#root", (), None)
-    cur = root
+
+def _events(html: str, frames: list):
+    """Tokenize ``html`` and apply the stack rules in one pass, yielding
+    ``(kind, name, attrs, text)``.
+
+    ``frames`` is the caller's per-element state, one item per open
+    element with the root's at index 0: the caller appends one item on
+    each ``_OPEN`` event, and this generator truncates the list whenever
+    elements close, so ``frames[-1]`` is always the innermost open
+    element's. An element at index ``i`` has closed once
+    ``len(frames) <= i``.
+
+    ``text`` is the character data seen since the previous event and
+    belongs to ``frames[-1]`` as it stands when the event arrives, before
+    the event's element is appended; text is always delivered before the
+    elements it sits in close. Entities are unescaped per text run;
+    script/style/textarea content is verbatim. ``attrs`` is the raw
+    attribute text when it holds an ``=`` (only class/id/href values are
+    ever read), else ``""``.
+
+    Stack rules: an end tag closes up to the nearest open element of its
+    name, and a stray one is dropped; an opening ``_P_CLOSERS`` tag first
+    closes the ``<p>`` open since the nearest container; void tags and
+    self-closed tags (``<p/>``) open nothing; the end of input closes
+    everything but the root.
+    """
+    tags = ["#root"]
+    # per frame: stack index of the <p> open since the nearest container,
+    # 0 when none — the implicit </p> is one lookup, not an upward walk
+    popen = [0]
+    text = ""
     pos = 0
     n = len(html)
-    while pos < n:
-        lt = html.find("<", pos)
-        if lt == -1:
-            text = html[pos:]
-            if text:
-                cur.children.append(
-                    _html_unescape(text) if "&" in text else text
-                )
-            break
-        if lt > pos:
-            text = html[pos:lt]
-            cur.children.append(_html_unescape(text) if "&" in text else text)
-        # dispatch on what follows '<'
-        m = _TAG_RE.match(html, lt)
-        if m is None:
-            if html.startswith("<!--", lt):
-                c = _COMMENT_RE.match(html, lt)
-                pos = c.end() if c else n
+    while True:
+        for m in _TOKEN_RE.finditer(html, pos):
+            data, closing, name, rawattrs, stray = m.groups()
+            if data:
+                text += _html_unescape(data) if "&" in data else data
+            if name is None:
+                if stray:
+                    text += "<"
                 continue
-            if html.startswith("<!", lt):
-                d = _DECL_RE.match(html, lt)
-                pos = d.end() if d else n
+            name = name.lower()
+            if closing:
+                i = len(tags) - 1
+                while i and tags[i] != name:
+                    i -= 1
+                if i:
+                    if text:
+                        yield _TEXT, None, "", text
+                        text = ""
+                    del tags[i:], popen[i:], frames[i:]
                 continue
-            if html.startswith("<?", lt):
-                # processing instruction (<?php ... ?>) — dropped, like the
-                # stdlib parser's unhandled handle_pi
-                gt = html.find(">", lt)
+            # trailing '/' is a SELF-CLOSE only when it cannot be the tail
+            # of an unquoted attribute value — i.e. preceded by whitespace,
+            # a quote, another '/', or nothing (probed stdlib semantics:
+            # <br/> <p a='v'/> <p a=v /> <p //> self-close; <p a=/> and
+            # <img src=x/> do NOT — the slash belongs to the value)
+            selfclose = rawattrs.endswith("/") and (
+                len(rawattrs) == 1 or rawattrs[-2] in " \t\n\r\f\"'/"
+            )
+            if selfclose:
+                rawattrs = rawattrs[:-1]
+            attrs = rawattrs if "=" in rawattrs else ""
+            if selfclose or name in VOID_TAGS:
+                yield _VOID, name, attrs, text
+                text = ""
+                continue
+            if name in _P_CLOSERS:
+                i = popen[-1]
+                if i:
+                    if text:
+                        yield _TEXT, None, "", text
+                        text = ""
+                    del tags[i:], popen[i:], frames[i:]
+            popen.append(
+                len(tags) if name == "p"
+                else 0 if name in CONTAINER_TAGS else popen[-1]
+            )
+            tags.append(name)
+            yield _OPEN, name, attrs, text
+            text = ""
+            if name in _RAWTEXT:
+                pos = m.end()
+                cm = _RAWTEXT_CLOSE[name].search(html, pos)
+                close = cm.start() if cm else n
+                if close > pos:
+                    yield _TEXT, None, "", html[pos:close]
+                i = len(tags) - 1
+                del tags[i:], popen[i:], frames[i:]
+                # skip past the closing tag, then rescan from there
+                gt = html.find(">", close)
                 pos = (gt + 1) if gt != -1 else n
-                continue
-            if html.startswith("</", lt):
-                # bogus end tag (</>, </-foo>, unmatched-name junk):
-                # html.parser drops it as a bogus comment up to '>'
-                gt = html.find(">", lt)
-                if gt != -1:
-                    pos = gt + 1
-                    continue
-            # stray '<' — treat as text (html.parser emits it as data too)
-            cur.children.append("<")
-            pos = lt + 1
-            continue
-        closing, name, rawattrs = m.groups()
-        closing = closing or ""
-        # trailing '/' is a SELF-CLOSE only when it cannot be the tail of
-        # an unquoted attribute value — i.e. preceded by whitespace, a
-        # quote, another '/', or nothing (probed stdlib semantics:
-        # <br/> <p a='v'/> <p a=v /> <p //> self-close; <p a=/> and
-        # <img src=x/> do NOT — the slash belongs to the value)
-        if rawattrs.endswith("/") and (
-            len(rawattrs) == 1 or rawattrs[-2] in " \t\n\r\f\"'/"
-        ):
-            selfclose = "/"
-            rawattrs = rawattrs[:-1]
+                break
         else:
-            selfclose = ""
-        name = name.lower()
-        pos = m.end()
-        if closing:
-            node = cur
-            while node is not root:
-                if node.tag == name:
-                    cur = node.parent
-                    break
-                node = node.parent
-            continue
-        # keep the RAW attr text; penalty checks parse lazily (most tags'
-        # attrs are never inspected)
-        attrs = rawattrs if rawattrs and "=" in rawattrs else ()
-        if name in VOID_TAGS or selfclose:
-            cur.children.append(_Node(name, attrs, cur))
-            continue
-        if name in _P_CLOSERS:
-            node = cur
-            while node is not root:
-                if node.tag == "p":
-                    cur = node.parent
-                    break
-                if node.tag in CONTAINER_TAGS or node.tag == "#root":
-                    break
-                node = node.parent
-        child = _Node(name, attrs, cur)
-        cur.children.append(child)
-        cur = child
-        if name in _RAWTEXT:
-            cm = _RAWTEXT_CLOSE[name].search(html, pos)
-            close = cm.start() if cm else n
-            if close > pos:
-                child.children.append(html[pos:close])
-            # skip past the closing tag
-            gt = html.find(">", close)
-            pos = (gt + 1) if gt != -1 else n
-            cur = child.parent
-    return root
+            if text:
+                yield _TEXT, None, "", text
+            del frames[1:]
+            return
 
 
 class DomConfig:
@@ -318,55 +289,38 @@ _CLASS_ID_RE = re.compile(
 )
 
 
-def _is_penalized(node: _Node) -> bool:
-    attrs = node.attrs
-    if isinstance(attrs, str):  # fast path: raw attribute text, parsed lazily
-        if "class" not in attrs and "id" not in attrs:
-            return False
-        for m in _CLASS_ID_RE.finditer(attrs):
-            v = m.group(1) or m.group(2) or m.group(3)
-            if v and PENALTY_RE.search(v):
-                return True
+def _is_penalized(attrs: str) -> bool:
+    """Whether raw attribute text carries a penalty class/id token."""
+    if "class" not in attrs and "id" not in attrs:
         return False
-    for k, v in attrs:
-        if v and k in ("class", "id") and PENALTY_RE.search(v):
+    for m in _CLASS_ID_RE.finditer(attrs):
+        v = m.group(1) or m.group(2) or m.group(3)
+        if v and PENALTY_RE.search(v):
             return True
     return False
 
 
-def _collect_text(node: _Node, out: list, link_out: list, in_link: bool) -> None:
-    for ch in node.children:
-        if isinstance(ch, str):
-            out.append(ch)
-            if in_link:
-                link_out.append(ch)
-        else:
-            if ch.tag in PRUNE_TAGS or _is_penalized(ch):
-                continue
-            _collect_text(ch, out, link_out, in_link or ch.tag == "a")
+# Extractor frame: (dead, container id, in link). A frame is dead inside a
+# pruned tag or a penalty-classed element; "in link" counts only <a>
+# elements inside the open candidate paragraph.
+_DEAD = (True, 0, False)
 
 
-def _paragraph_text(node: _Node) -> tuple[str, float]:
-    """(normalized text, link_density) of a candidate block."""
-    pieces: list = []
-    link_pieces: list = []
-    _collect_text(node, pieces, link_pieces, False)
+def _score(pieces: list, link_pieces: list, cid: int, cfg: DomConfig,
+           candidates: list) -> None:
+    """Score one closed candidate paragraph into ``candidates``."""
     text = normalize_ws("".join(pieces))
-    if not text:
-        return "", 0.0
-    link_chars = len(normalize_ws("".join(link_pieces)))
-    return text, link_chars / len(text)
-
-
-def _nearest_container(node: _Node) -> _Node:
-    p = node.parent
-    while p is not None and p.tag not in CONTAINER_TAGS and p.tag != "#root":
-        p = p.parent
-    return p if p is not None else node
+    if text and link_pieces:
+        link_density = len(normalize_ws("".join(link_pieces))) / len(text)
+    else:
+        link_density = 0.0
+    if len(text) >= cfg.min_par_chars and link_density <= cfg.max_link_density:
+        score = min(len(text), cfg.score_cap) / 100.0 + text.count(",")
+        candidates.append((cid, text, score))
 
 
 def extract_main_content(
-    html: str, cfg: DomConfig = _DEFAULT_CFG, _use_stdlib_parser: bool = False
+    html: str, cfg: DomConfig = _DEFAULT_CFG
 ) -> tuple[str, list[dict]]:
     """Extract main-content text + spans from an HTML string.
 
@@ -375,55 +329,75 @@ def extract_main_content(
     Empty text means no content survived the heuristics (caller emits the
     reference's empty-extraction sentinel, reference: workers.py:70-75).
 
-    ``_use_stdlib_parser`` forces the html.parser tree builder — the
-    semantic reference implementation the fast tokenizer is A/B-tested
-    against (tests/test_dom.py::test_fast_parser_matches_stdlib).
+    One pass over :func:`_events`. A candidate paragraph is a
+    ``PARAGRAPH_TAGS`` element outside every pruned or penalized subtree
+    and outside another candidate. Its live text is kept while it is open;
+    it is scored once it has closed (end tag, implicit close or end of
+    input) and credited to the nearest container open around it.
     """
-    if _use_stdlib_parser:
-        builder = _TreeBuilder()
-        builder.feed(html)
-        builder.close()
-        root = builder.root
-    else:
-        root = _build_tree_fast(html)
-
-    # Walk: collect candidate paragraphs with scores, grouped by container.
-    candidates: list[tuple[_Node, str, float]] = []  # (container, text, score)
-    order: dict[int, int] = {}
-
-    def walk(node: _Node) -> None:
-        for ch in node.children:
-            if isinstance(ch, str):
-                continue
-            if ch.tag in PRUNE_TAGS or _is_penalized(ch):
-                continue
-            if ch.tag in PARAGRAPH_TAGS:
-                text, link_density = _paragraph_text(ch)
-                if (
-                    len(text) >= cfg.min_par_chars
-                    and link_density <= cfg.max_link_density
-                ):
-                    score = min(len(text), cfg.score_cap) / 100.0 + text.count(",")
-                    container = _nearest_container(ch)
-                    cid = id(container)
-                    if cid not in order:
-                        order[cid] = len(order)
-                    candidates.append((container, text, score))
-                # paragraphs never nest content paragraphs
-                continue
-            walk(ch)
-
-    walk(root)
+    candidates: list[tuple[int, str, float]] = []  # (container id, text, score)
+    frames = [(False, 0, False)]  # the root: live, container 0
+    n_containers = 0
+    cand = 0  # stack index of the open candidate paragraph, 0 = none
+    cand_cid = 0
+    pieces: list = []
+    link_pieces: list = []
+    for kind, name, attrs, text in _events(html, frames):
+        if cand:
+            if len(frames) <= cand:
+                _score(pieces, link_pieces, cand_cid, cfg, candidates)
+                cand = 0
+            elif text:
+                top = frames[-1]
+                if not top[0]:
+                    pieces.append(text)
+                    if top[2]:
+                        link_pieces.append(text)
+        if kind == _OPEN:
+            top = frames[-1]
+            if top[0]:
+                frames.append(top)
+            elif name in PRUNE_TAGS or (attrs and _is_penalized(attrs)):
+                frames.append(_DEAD)
+            elif name in PARAGRAPH_TAGS and not cand:
+                cand = len(frames)
+                cand_cid = top[1]
+                pieces = []
+                link_pieces = []
+                frames.append((False, cand_cid, False))
+            elif name in CONTAINER_TAGS:
+                n_containers += 1
+                frames.append((False, n_containers, top[2]))
+            elif name == "a" and not top[2]:
+                frames.append((False, top[1], True))
+            else:
+                frames.append(top)
+        elif (
+            kind == _VOID
+            and name in PARAGRAPH_TAGS
+            and not cand
+            and not frames[-1][0]
+            and not (attrs and _is_penalized(attrs))
+        ):
+            # a live self-closed paragraph (<p/>) is an empty candidate
+            _score([], [], frames[-1][1], cfg, candidates)
+    if cand:
+        _score(pieces, link_pieces, cand_cid, cfg, candidates)
     if not candidates:
         return "", []
 
-    # Elect best container: max total score, tie -> earliest in document order.
+    # Elect best container: max total score, tie -> earliest in document
+    # order (totals keep first-candidate order, and only a strictly higher
+    # total displaces the leader).
     totals: dict[int, float] = {}
-    for container, _, score in candidates:
-        totals[id(container)] = totals.get(id(container), 0.0) + score
-    best = max(totals, key=lambda cid: (totals[cid], -order[cid]))
+    for cid, _, score in candidates:
+        totals[cid] = totals.get(cid, 0.0) + score
+    best, best_total = 0, float("-inf")
+    for cid, total in totals.items():
+        if total > best_total:
+            best, best_total = cid, total
 
-    blocks = [text for container, text, _ in candidates if id(container) == best]
+    blocks = [text for cid, text, _ in candidates if cid == best]
     out_text = "\n".join(blocks).strip()
     spans: list[dict] = []
     pos = 0

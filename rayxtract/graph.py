@@ -8,8 +8,8 @@ scores are a standard quality signal for training-data selection).
 
 Two operators, both Ray-Data-native:
 
-  * :func:`extract_link_edges` — per-batch DOM-tree walk (the engine's own
-    tolerant tokenizer, dom._build_tree_fast) collecting ``<a href>``
+  * :func:`extract_link_edges` — per-batch one-pass scan (the engine's own
+    tolerant tokenizer and stack rules, dom._events) collecting ``<a href>``
     targets in document order, aggregated to (src_url, href, n_links)
     weighted edges. Embarrassingly parallel; the only exchange is the
     bounded (src, href) count combine.
@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 
 from . import scale as _scale
+from .dom import _OPEN, _TEXT, _events
 
 __all__ = [
     "extract_link_edges",
@@ -55,84 +56,43 @@ _HREF_RE = re.compile(
 _DOCTYPE_PREFIX = b"<!DOCTYPE"
 
 
-def _hrefs_of_tree(root) -> list[str]:
-    """All <a href> values in document order (iterative DFS — a 4000-para
-    page nests shallow but long; recursion depth is bounded anyway, this
-    avoids per-node Python frames)."""
-    out: list[str] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for ch in reversed(node.children):
-            if isinstance(ch, str):
-                continue
-            if ch.tag == "a":
-                href = _href_of(ch)
-                if href is not None:
-                    out.append(href)
-            stack.append(ch)
-    return out
-
-
-def _href_of(node):
-    """href attribute of an element node, or None — shared by the link
-    and anchor tree walks (attrs arrive as a raw string from the fast
-    tokenizer or as (k, v) pairs)."""
-    attrs = node.attrs
-    if isinstance(attrs, str):
-        m = _HREF_RE.search(attrs)
-        if m:
-            return m.group(1) or m.group(2) or m.group(3) or ""
-        return None
-    for k, v in attrs:
-        if k == "href" and v is not None:
-            return v
-    return None
-
-
-def _anchors_of_tree(root) -> list[tuple]:
-    """All (href, anchor_text) pairs in document order. Anchor text is
-    the concatenation of every text descendant of the <a> node in
-    DOCUMENT order — ``<a href>foo<b>bar</b>baz</a>`` yields
-    ``foobarbaz`` (unit-tested; the synth-corpus oracle only exercises
-    the flat single-text case)."""
-    out: list[tuple] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for ch in reversed(node.children):
-            if isinstance(ch, str):
-                continue
-            if ch.tag == "a":
-                href = _href_of(ch)
-                if href is not None:
-                    # strings are appended when POPPED (not at push
-                    # time), so multiple/mixed text children come out
-                    # in document order
-                    texts: list[str] = []
-                    astack: list = list(reversed(ch.children))
-                    while astack:
-                        an = astack.pop()
-                        if isinstance(an, str):
-                            texts.append(an)
-                        else:
-                            astack.extend(reversed(an.children))
-                    out.append((href, "".join(texts)))
-            stack.append(ch)
-    return out
+def _anchors_of(html: str) -> list[tuple[str, str]]:
+    """(href, anchor text) of every ``<a href>`` in document order, on the
+    same tokenizer and stack rules as content extraction
+    (:func:`rayxtract.dom._events`). Anchor text is every text run inside
+    the ``<a>`` in document order — ``<a href>foo<b>bar</b>baz</a>``
+    yields ``foobarbaz``; pruned tags count here (script text included,
+    verbatim), and an ``<a>`` nested in another feeds both."""
+    out: list[list] = []  # [href, text pieces], in start-tag order
+    frames: list = [None]  # one placeholder per open element
+    open_anchors: list = []  # (stack index, out entry) of the open <a href>s
+    for kind, name, attrs, text in _events(html, frames):
+        while open_anchors and len(frames) <= open_anchors[-1][0]:
+            open_anchors.pop()
+        if text:
+            for _, entry in open_anchors:
+                entry[1].append(text)
+        if kind == _TEXT:
+            continue
+        entry = None
+        if name == "a" and attrs:
+            m = _HREF_RE.search(attrs)
+            if m:
+                entry = [m.group(1) or m.group(2) or m.group(3) or "", []]
+                out.append(entry)
+        if kind == _OPEN:
+            if entry is not None:
+                open_anchors.append((len(frames), entry))
+            frames.append(None)
+    return [(href, "".join(pieces)) for href, pieces in out]
 
 
 class AnchorExtractBatch:
     """Actor-pool stage: (url, html) -> (href, anchor) rows — the
     anchor-text signal (what the linking web CALLS each target — a
     standard retrieval/quality feature attached to link targets). Same
-    direct-HTML byte-prefix contract and tolerant tree as
+    direct-HTML byte-prefix contract and tolerant scan as
     :class:`LinkExtractBatch`."""
-
-    def __init__(self) -> None:
-        from .dom import _build_tree_fast
-
-        self._build = _build_tree_fast
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         hrefs: list[str] = []
@@ -142,10 +102,10 @@ class AnchorExtractBatch:
             if not raw.startswith(_DOCTYPE_PREFIX):
                 continue
             try:
-                root = self._build(raw.decode("utf-8"))
+                html = raw.decode("utf-8")
             except UnicodeDecodeError:
                 continue
-            for href, text in _anchors_of_tree(root):
+            for href, text in _anchors_of(html):
                 hrefs.append(href)
                 anchors.append(text)
         return pd.DataFrame(
@@ -163,13 +123,8 @@ class LinkExtractBatch:
     parsed — the byte-prefix filter is deliberately the exact predicate a
     SQL oracle can replicate on the blob column (transport-gzip pages would
     need a gunzip the oracle side lacks; they are a bounded synth slice).
-    The tree builder is the engine's own tolerant tokenizer, so link
-    extraction sees the SAME tree as content extraction."""
-
-    def __init__(self) -> None:
-        from .dom import _build_tree_fast
-
-        self._build = _build_tree_fast
+    The scan is the engine's own tolerant tokenizer and stack rules, so
+    link extraction sees the SAME elements as content extraction."""
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         srcs: list[str] = []
@@ -179,10 +134,10 @@ class LinkExtractBatch:
             if not raw.startswith(_DOCTYPE_PREFIX):
                 continue
             try:
-                root = self._build(raw.decode("utf-8"))
+                html = raw.decode("utf-8")
             except UnicodeDecodeError:
                 continue
-            found = _hrefs_of_tree(root)
+            found = [href for href, _ in _anchors_of(html)]
             srcs.extend([url] * len(found))
             hrefs.extend(found)
         return pd.DataFrame(

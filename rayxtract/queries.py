@@ -3134,11 +3134,11 @@ def q_pages_crawl_diff(sf_dir: str):
 def q_pages_link_edges(sf_dir: str):
     """LINK-GRAPH EXTRACTION: weighted (src_url, href, n_links) edges from
     the <a href> targets of every direct-HTML page, parsed by the engine's
-    own tolerant DOM tokenizer (the tree content extraction sees). The
+    own tolerant DOM tokenizer (the elements content extraction sees). The
     crawl-graph primitive under frontier ranking / spam demotion /
     PageRank quality priors. ORACLE-CHECKED: DuckDB re-derives the same
     edges with regexp_extract_all over the decoded blob (synth hrefs are
-    double-quoted and only ever on <a> tags, so regex == tree walk);
+    double-quoted and only ever on <a> tags, so regex == DOM scan);
     the byte-prefix filter (payload starts '<!DOCTYPE') is the exact
     predicate both sides share — transport-gzip pages are out of scope
     for the SQL side (no gunzip in DuckDB)."""
@@ -3459,7 +3459,7 @@ def q_pages_anchor_texts(sf_dir: str):
     retrieval/quality feature search and training-data pipelines attach
     to link targets; anchors are also a standard pretraining signal):
     per (href, anchor) pair, how many references carry exactly that
-    text. One actor-pool tree walk emits (href, anchor) rows, a
+    text. One actor-pool DOM scan emits (href, anchor) rows, a
     per-batch partial combine collapses duplicates before the ONE
     hash(href)-keyed exchange — only (href, anchor, count) partials
     move, never raw pages. Oracle: the synth corpus' anchors are flat

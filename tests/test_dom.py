@@ -2,12 +2,28 @@
 
 import pytest
 
-from rayxtract.dom import extract_main_content, normalize_ws
+import dom_oracle
+from rayxtract.dom import DomConfig, extract_main_content, normalize_ws
 from rayxtract.layout import decode_pdfl, encode_pdfl, layout_text, parse_pdfl
 
 
 def test_normalize_ws():
     assert normalize_ws("  a \t b\n\nc ") == "a b c"
+    assert normalize_ws("a\xa0b") == "a b"
+    assert normalize_ws("already single spaced") == "already single spaced"
+
+
+def test_whitespace_is_never_printable_but_space():
+    """normalize_ws returns printable strings with no double, leading or
+    trailing space as they are; that holds only while every isspace()
+    character but ' ' is non-printable — checked over all code points."""
+    import sys
+
+    bad = [
+        hex(c) for c in range(sys.maxunicode + 1)
+        if chr(c).isspace() and chr(c).isprintable() and c != 0x20
+    ]
+    assert bad == []
 
 
 def test_basic_extraction():
@@ -145,7 +161,7 @@ def test_uppercase_rawtext_close():
         "<script>y</script><p>Second paragraph content long enough as well.</p></div></body>"
     )
     fast = extract_main_content(html)
-    std = extract_main_content(html, _use_stdlib_parser=True)
+    std = dom_oracle.extract_main_content(html, stdlib=True)
     assert fast == std
     assert "First paragraph" in fast[0] and "Second paragraph" in fast[0]
 
@@ -182,7 +198,7 @@ def test_data_prefixed_attrs_not_penalized():
         "</div></body>"
     )
     fast = extract_main_content(html)
-    stdlib = extract_main_content(html, _use_stdlib_parser=True)
+    stdlib = dom_oracle.extract_main_content(html, stdlib=True)
     assert fast == stdlib
     assert fast[0] == (
         "Real article content that must survive attribute sniffing here."
@@ -191,10 +207,11 @@ def test_data_prefixed_attrs_not_penalized():
 
 def test_fast_parser_stdlib_agreement_on_adversarial_soup():
     """Seeded fuzz: the fast tokenizer agrees with the stdlib-parser
-    reference on >= 99% of adversarial tag-soup inputs (round-3 tolerant-
-    name work took this from ~90% to ~99.8%). Residual divergences are
-    deep-soup constructs documented at _TAG_RE (quoted '>' in end-tag
-    junk, quote-opening tag names swallowing doctypes)."""
+    reference (tests/dom_oracle.py) on >= 99% of adversarial tag-soup
+    inputs (round-3 tolerant-name work took this from ~90% to ~99.8%).
+    Residual divergences are deep-soup constructs documented at
+    dom._TOKEN_RE (quoted '>' in end-tag junk, quote-opening tag names
+    swallowing doctypes)."""
     import random
 
     frags = [
@@ -214,8 +231,8 @@ def test_fast_parser_stdlib_agreement_on_adversarial_soup():
     n, div = 2000, 0
     for _ in range(n):
         s = "".join(rng.choice(frags) for _ in range(rng.randint(1, 60)))
-        if extract_main_content(s) != extract_main_content(
-            s, _use_stdlib_parser=True
+        if extract_main_content(s) != dom_oracle.extract_main_content(
+            s, stdlib=True
         ):
             div += 1
     assert div / n <= 0.01, f"{div}/{n} divergences"
@@ -232,6 +249,92 @@ def test_selfclose_vs_unquoted_value_slash():
         "<body><div><p a=v /><p>Content paragraph long enough to extract fine.</p></div></body>",
     ):
         fast = extract_main_content(html)
-        stdlib = extract_main_content(html, _use_stdlib_parser=True)
+        stdlib = dom_oracle.extract_main_content(html, stdlib=True)
         assert fast == stdlib, html
         assert "Content paragraph" in fast[0], html
+
+
+# --- one-pass extractor vs the tree-walk oracle ---------------------------
+
+_SOUP_FRAGS = [
+    "<p>", "</p>", "<div>", "</div>", '<div class="ad">', "<p class='x>y'>",
+    "hello world, text ", "<", ">", "&amp;", "&", "&#65;", "<!-- c -->",
+    "<!doctype html>", "<script>var x = '<p>';</script>", "</script>",
+    "<br/>", "<img src=x>", "<a href='u'>link</a>", "<a href=v>", "</a>",
+    "'", '"', "<b", "=", "</", "< p>", "</ div>", "<P>", "</P>", "<p",
+    "<p/>", "<pre>", "</pre>", "<blockquote>", "</blockquote>",
+    "<section id=ad>", "<span class='share'>", "</span>", "<article>",
+    "</article>", "<td>", "</td>", "<nav>", "</nav>",
+    "<textarea>a&amp;b</textarea>", "<li>", "<h1>", "  ", "\n",
+    "<em>emph</em>", "<main>", "<body>", "</body>", "<a href=x/>",
+    "<p a=/>", "<div/>", "<style>x</STYLE>",
+    "lorem ipsum dolor sit amet consectetur, ", "<form>", "</form>",
+    "<ul>", "</ul>", "&am", "p;", "<?php ?>", "\xa0",
+]
+
+_ORACLE_CFGS = [
+    DomConfig(),
+    DomConfig(min_par_chars=0),
+    DomConfig(max_link_density=0.9),
+]
+
+
+def test_one_pass_matches_tree_oracle_on_soup():
+    """Seeded tag soup: the one-pass extractor equals the tree-building
+    oracle (same tokenizer regexes) with 0 divergences, under the default
+    config, min_par_chars=0 and max_link_density=0.9."""
+    import random
+
+    rng = random.Random(1234)
+    div = []
+    for i in range(6000):
+        s = "".join(rng.choice(_SOUP_FRAGS) for _ in range(rng.randint(1, 80)))
+        cfg = _ORACLE_CFGS[i % len(_ORACLE_CFGS)]
+        if extract_main_content(s, cfg) != dom_oracle.extract_main_content(s, cfg):
+            div.append(s)
+    assert div == []
+
+
+def test_one_pass_matches_tree_oracle_on_stock_pages():
+    """The synthetic corpus's HTML pages: one-pass == tree oracle."""
+    import numpy as np
+    import pyarrow as pa
+
+    from rayxtract.ops import detect_type
+    from rayxtract.schema import DOC_TYPE_HTML
+    from rayxtract.synth import pages_batch
+
+    pages = pages_batch(pa.table({"id": np.arange(300, dtype=np.int64)}))
+    html = [
+        p.decode("utf-8-sig") for p in pages["html"].to_pylist()
+        if p is not None and detect_type(p) == DOC_TYPE_HTML
+    ]
+    assert len(html) > 250
+    for cfg in _ORACLE_CFGS:
+        for h in html:
+            assert extract_main_content(h, cfg) == dom_oracle.extract_main_content(h, cfg)
+
+
+def test_penalty_checked_after_implicit_p_close():
+    """<section> closes the <p> (and the dead <span> inside it) before
+    its own penalty is checked: the <p> is an empty candidate under the
+    root, and the <section id=ad> subtree stays dead."""
+    html = "<p><span class=\"share\"><section id=ad><pre>x"
+    cfg = DomConfig(min_par_chars=0)
+    expected = ("", [{"start": 0, "end": 0, "kind": "p"}])
+    assert extract_main_content(html, cfg) == expected
+    assert dom_oracle.extract_main_content(html, cfg) == expected
+
+
+def test_self_closed_paragraph_is_empty_candidate():
+    cfg = DomConfig(min_par_chars=0)
+    html = "<div><p/></div>"
+    expected = ("", [{"start": 0, "end": 0, "kind": "p"}])
+    assert extract_main_content(html, cfg) == expected
+    assert dom_oracle.extract_main_content(html, cfg) == expected
+    # an empty candidate scores 0, so a real paragraph's container wins
+    html = "<div><p/></div><article><p>Real paragraph text here.</p></article>"
+    assert extract_main_content(html, cfg) == dom_oracle.extract_main_content(html, cfg)
+    assert extract_main_content(html, cfg)[0] == "Real paragraph text here."
+    # under the default 25-char floor it is no candidate at all
+    assert extract_main_content("<div><p/></div>") == ("", [])

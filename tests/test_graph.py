@@ -70,21 +70,23 @@ def test_pagerank_star_graph_center_wins(ray_session):
 def test_hrefs_tree_walk_matches_regex_on_malformed():
     import re
 
-    from rayxtract.dom import _build_tree_fast
-    from rayxtract.graph import _hrefs_of_tree
+    from rayxtract.graph import _anchors_of
 
-    html = (
+    for html in (
         '<!DOCTYPE html><html><body><nav><ul>'
         '<li><a href="/home/1">home</a></li>'
         '<li><a href="/about/2">about</a></li></ul></nav>'
         '<div class="content-body">'
         "<p>alpha <a href=\"/l/42\">beta</a> gamma"  # unclosed <p>
         '<p>delta</p></div>'
-        '<footer><a href="/press/9">press</a></footer></body></html>'
-    )
-    got = _hrefs_of_tree(_build_tree_fast(html))
-    exp = re.findall(r'href="([^"]*)"', html)
-    assert got == exp
+        '<footer><a href="/press/9">press</a></footer></body></html>',
+        # sibling links: document order, not reversed
+        '<p><a href="/1">one</a> and <a href="/2">two</a></p>'
+        '<div><a href="/3">three</a></div>',
+    ):
+        got = [href for href, _ in _anchors_of(html)]
+        exp = re.findall(r'href="([^"]*)"', html)
+        assert got == exp
 
 
 def test_resolve_edges_paths():
@@ -315,9 +317,9 @@ def test_personalized_pagerank_matches_dense_and_concentrates(ray_session):
 
 def test_anchor_text_document_order_nested():
     """Anchor text concatenates text descendants in DOCUMENT order —
-    mixed/multiple text children must not come out scrambled."""
-    from rayxtract.dom import _build_tree_fast
-    from rayxtract.graph import _anchors_of_tree
+    mixed/multiple text children must not come out scrambled, and
+    sibling anchors come out in document order."""
+    from rayxtract.graph import _anchors_of
 
     html = (
         '<html><body>'
@@ -325,6 +327,31 @@ def test_anchor_text_document_order_nested():
         '<p><a href="/y">A<i>B<b>C</b>D</i>E</a></p>'
         '</body></html>'
     )
-    got = _anchors_of_tree(_build_tree_fast(html))
+    got = _anchors_of(html)
     assert ("/x", "foobarbaz") in got
     assert ("/y", "ABCDE") in got
+    html = (
+        '<p><a href="/1">one</a> and <a href="/2">two</a></p>'
+        '<div><a href="/3">three</a></div>'
+    )
+    assert _anchors_of(html) == [("/1", "one"), ("/2", "two"), ("/3", "three")]
+
+
+def test_anchors_match_tree_oracle_on_soup():
+    """Seeded tag soup: the one-pass link scan equals the tree-walk
+    oracle (tests/dom_oracle.py) exactly — hrefs, anchor text, order."""
+    import random
+
+    from dom_oracle import anchors_of_tree, build_tree_fast
+    from rayxtract.graph import _anchors_of
+
+    frags = [
+        "<p>", "</p>", "<div>", "</div>", "<a href='u'>link</a>", "<a href=v>",
+        "</a>", "<a>", "<a href=x/>", "<b>", "</b>", "text &amp; more ", "<",
+        "<!-- c -->", "<script>x<a href=s>y</script>", "<li>", "<section>",
+        "<br>", '<a href="q" class=ad>', "</ a>", "<A HREF=up>",
+    ]
+    rng = random.Random(7)
+    for _ in range(3000):
+        s = "".join(rng.choice(frags) for _ in range(rng.randint(1, 40)))
+        assert _anchors_of(s) == anchors_of_tree(build_tree_fast(s)), s
