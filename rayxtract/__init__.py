@@ -24,25 +24,17 @@ def configure_context() -> None:
     """Set the engine's Ray Data execution knobs on the current DataContext.
 
     Called at every dataset-creation entry point (pipeline, queries, bench).
-    HASH_SHUFFLE: the engine's exchanges are keyed repartitions and hash
-    aggregations — none need sorted output, and the keyed-repartition dedup
-    path requires it. Datasets snapshot their context at creation, so this
-    must run before ``read_parquet``.
+    The one knob set is ``target_max_block_size`` (below). The shuffle
+    strategy stays Ray's default sort-based shuffle: the 2.49 hash-shuffle
+    path spawns an aggregator actor pool that oversubscribes small CPU
+    counts and stalls (measured: 8-CPU job 321s -> >12min), and no
+    exchange here needs it — keyed exchanges run as ``groupby(bucket)``
+    over a bounded bucket column (``agg.exchange``). Datasets snapshot
+    their context at creation, so this must run before ``read_parquet``.
     """
-    import ray
     from ray.data.context import DataContext
 
     ctx = DataContext.get_current()
-    # keep the default sort-based shuffle: the 2.49 hash-shuffle path spawns
-    # an aggregator actor pool (cap 64) that oversubscribes small CPU counts
-    # and stalls (measured: 8-CPU job 321s -> >12min). The flagship needs no
-    # keyed exchange at all (see pipeline.py); ad-hoc groupbys sort.
-    # Size the hash aggregator cap anyway in case a caller opts in.
-    try:
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n_cpus = 8
-    ctx.max_hash_shuffle_aggregators = max(2, min(64, n_cpus // 2))
     # Skew: cap per-task payload. Map-stage fusion makes the read task's
     # dynamic output splitting the unit of extraction work, so the default
     # 128-MiB target lets one task accumulate ~128 MiB of html while its

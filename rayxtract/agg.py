@@ -67,6 +67,30 @@ def topk(ds, keys: list[str], descending: list[bool], k: int):
 _AGG_FUNCS = {"sum", "min", "max", "count"}
 
 
+def _combiner(keys: list[str], aggs: dict[str, tuple[str, str]]):
+    """The per-batch ``partial`` and the ``merge`` shared by
+    :func:`tree_aggregate` and :func:`bucketed_aggregate`: ``partial``
+    groups one batch into (keys, out columns) partial rows, ``merge``
+    folds partial rows of the same keys (counts merge as sums)."""
+    for out, (col, fn) in aggs.items():
+        if fn not in _AGG_FUNCS:
+            raise ValueError(f"unsupported agg fn {fn} for {out}")
+    spec = {
+        out: (out, "sum" if fn == "count" else fn) for out, (col, fn) in aggs.items()
+    }
+
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        cols = {k: batch[k].values for k in keys}
+        for out, (col, fn) in aggs.items():
+            cols[out] = 1 if fn == "count" else batch[col].values
+        return pd.DataFrame(cols).groupby(keys, as_index=False).agg(**spec)
+
+    def merge(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.groupby(keys, as_index=False).agg(**spec)
+
+    return partial, merge
+
+
 def tree_aggregate(
     ds,
     keys: list[str],
@@ -80,30 +104,7 @@ def tree_aggregate(
     The caller's contract is that the RESULT fits one block; the partial
     stage has already shrunk the data to <= keys x input-blocks rows.
     """
-    for out, (col, fn) in aggs.items():
-        if fn not in _AGG_FUNCS:
-            raise ValueError(f"unsupported agg fn {fn} for {out}")
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        cols = {k: batch[k].values for k in keys}
-        for out, (col, fn) in aggs.items():
-            cols[out] = (
-                1 if fn == "count" else batch[col].values
-            )
-        tmp = pd.DataFrame(cols)
-        spec = {
-            out: (out, "sum" if fn == "count" else fn)
-            for out, (col, fn) in aggs.items()
-        }
-        return tmp.groupby(keys, as_index=False).agg(**spec)
-
-    def merge(batch: pd.DataFrame) -> pd.DataFrame:
-        spec = {
-            out: (out, "sum" if fn == "count" else fn)
-            for out, (col, fn) in aggs.items()
-        }
-        return batch.groupby(keys, as_index=False).agg(**spec)
-
+    partial, merge = _combiner(keys, aggs)
     return (
         ds.map_batches(partial, batch_format="pandas")
         .repartition(1)
@@ -147,7 +148,7 @@ def tree_reduce(ds, partial, merge):
     return pickle.loads(rows[0]["__m"]) if rows else None
 
 
-def exchange(ds, key, per_bucket, n_buckets: int | None = None):
+def exchange(ds, key, per_bucket):
     """The one keyed hash exchange: every row whose ``key`` (a column
     name or a list of them) holds the same value lands in the same
     bucket, and ``per_bucket(frame) -> frame`` runs once per non-empty
@@ -155,12 +156,13 @@ def exchange(ds, key, per_bucket, n_buckets: int | None = None):
     key-local: it sees whole keys, several keys per bucket, in no
     particular row order, and never the bucket column itself.
 
-    The fan-out is ``scale.resolve(n_buckets)`` (size-derived unless
-    explicit) and placement is ``joins.bucket_of``. The bucket column is
-    added in a ``map_batches`` that Ray fuses into the caller's upstream
-    map, so only the ``groupby(...).map_groups`` shuffle is new work."""
+    The fan-out is ``scale.resolve()``, derived from the workload's
+    input size when the exchange is built, and placement is
+    ``joins.bucket_of``. The bucket column is added in a ``map_batches``
+    that Ray fuses into the caller's upstream map, so only the
+    ``groupby(...).map_groups`` shuffle is new work."""
     keys = [key] if isinstance(key, str) else list(key)
-    n_buckets = _scale.resolve(n_buckets)
+    n_buckets = _scale.resolve()
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy(deep=False)  # new column only; rows are not copied
@@ -182,7 +184,6 @@ def bucketed_aggregate(
     ds,
     keys: list[str],
     aggs: dict[str, tuple[str, str]],
-    n_buckets: int | None = None,
 ):
     """Grouped aggregate for LARGE-cardinality keys: partial combine, then
     one :func:`exchange` on the keys with one merge per bucket — no single
@@ -190,25 +191,8 @@ def bucketed_aggregate(
     when results are corpus-sized, e.g. a web-scale vocabulary count).
     Only partial rows move through the exchange. Same ``aggs`` spec as
     tree_aggregate."""
-    for out, (col, fn) in aggs.items():
-        if fn not in _AGG_FUNCS:
-            raise ValueError(f"unsupported agg fn {fn} for {out}")
-    spec = {
-        out: (out, "sum" if fn == "count" else fn) for out, (col, fn) in aggs.items()
-    }
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        cols = {k: batch[k].values for k in keys}
-        for out, (col, fn) in aggs.items():
-            cols[out] = 1 if fn == "count" else batch[col].values
-        return pd.DataFrame(cols).groupby(keys, as_index=False).agg(**spec)
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby(keys, as_index=False).agg(**spec)
-
-    return exchange(
-        ds.map_batches(partial, batch_format="pandas"), keys, merge, n_buckets
-    )
+    partial, merge = _combiner(keys, aggs)
+    return exchange(ds.map_batches(partial, batch_format="pandas"), keys, merge)
 
 
 def range_prefix_sum(ds, order_col, value_col, range_size, out_col="cum_before"):
@@ -255,146 +239,25 @@ def range_prefix_sum(ds, order_col, value_col, range_size, out_col="cum_before")
     return tagged.groupby("__range").map_groups(scan, batch_format="pandas")
 
 
-def select_kth(
-    ds,
-    col: str,
-    k: int,
-    n_buckets: int = 2048,
-    collect_limit: int = 65536,
-    materialize: bool = True,
-):
+def select_kth(ds, col: str, k: int, n_cells: int = 2048, collect_limit: int = 65536):
     """EXACT k-th smallest (1-based) of a numeric column WITHOUT a global
-    sort — iterative histogram selection (the classic distributed
-    quantile-selection loop): each round is ONE full scan that bincounts
-    the live [lo, hi] range into ``n_buckets`` equal-width cells, the
-    driver keeps only the 2048-int histogram, descends into the cell
-    containing rank k, and repeats until the survivor set fits
-    ``collect_limit`` (then one bounded filter-and-pick). O(log) passes,
-    O(n_buckets) driver state, nothing corpus-sized ever leaves the
-    executors — a 10^12-row median costs ~4 scans instead of an
-    all-to-all sort. Deterministic: every pass recomputes the identical
-    np.linspace edge array, and membership uses the same searchsorted on
-    both the count and collect passes, so float-edge placement can never
-    disagree with itself.
+    sort: :func:`grouped_select_kth` over one group holding every row of
+    ``col`` as float64. Each round is ONE full scan that bincounts the
+    live [lo, hi] range into ``n_cells`` equal-width cells, the driver
+    keeps only that histogram, descends into the cell containing rank k,
+    and repeats until the survivor set fits ``collect_limit`` (then one
+    bounded filter-and-pick). O(log) passes, O(n_cells) driver state,
+    nothing corpus-sized ever leaves the executors — a 10^12-row median
+    costs ~4 scans instead of an all-to-all sort.
 
-    Returns the selected value as a Python float.
-
-    ``materialize=True`` pins the (usually single-column) input in the
-    object store so the loop's re-scans don't re-execute upstream
-    transforms; when ``ds`` is a bare column read from cheap re-scannable
-    storage and the corpus is too large to pin, pass ``materialize=False``
-    and each pass re-reads the source instead."""
-    import ray.data  # noqa: F401  (ds is already a Dataset)
-
-    if materialize:
-        ds = ds.materialize()  # the loop re-scans; don't re-execute upstream
-
-    mm = tree_aggregate(
-        ds.map_batches(
-            lambda b: pd.DataFrame(
-                {
-                    "g": np.zeros(1, dtype="int64"),
-                    "lo": [float(np.min(b[col].to_numpy(np.float64)))]
-                    if len(b)
-                    else [np.inf],
-                    "hi": [float(np.max(b[col].to_numpy(np.float64)))]
-                    if len(b)
-                    else [-np.inf],
-                    "n": [int(len(b))],
-                }
-            ),
-            batch_format="pandas",
+    Returns the selected value as a Python float."""
+    one = ds.map_batches(
+        lambda b: pd.DataFrame(
+            {"g": np.zeros(len(b), dtype="int64"), "v": b[col].to_numpy(np.float64)}
         ),
-        keys=["g"],
-        aggs={"lo": ("lo", "min"), "hi": ("hi", "max"), "n": ("n", "sum")},
-    ).to_pandas()
-    lo, hi, n = float(mm["lo"][0]), float(mm["hi"][0]), int(mm["n"][0])
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for n={n}")
-
-    def bucket_ids(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        b = np.searchsorted(edges, v, side="right") - 1
-        return np.clip(b, 0, len(edges) - 2)
-
-    while True:
-        if lo == hi:
-            return lo
-        edges = np.linspace(lo, hi, n_buckets + 1)
-
-        def count_pass(batch: pd.DataFrame, edges=edges) -> pd.DataFrame:
-            v = batch[col].to_numpy(np.float64)
-            m = (v >= edges[0]) & (v <= edges[-1])
-            c = np.bincount(bucket_ids(v[m], edges), minlength=n_buckets)
-            return pd.DataFrame(
-                {
-                    "b": np.arange(n_buckets, dtype="int64"),
-                    "c": c.astype("int64"),
-                }
-            )
-
-        counts = (
-            tree_aggregate(
-                ds.map_batches(count_pass, batch_format="pandas"),
-                keys=["b"],
-                aggs={"c": ("c", "sum")},
-            )
-            .to_pandas()
-            .sort_values("b")["c"]
-            .to_numpy(np.int64)
-        )
-        cum = np.cumsum(counts)
-        b = int(np.searchsorted(cum, k, side="left"))
-        in_bucket = int(counts[b])
-        k -= int(cum[b - 1]) if b else 0
-        new_lo, new_hi = float(edges[b]), float(edges[b + 1])
-
-        if new_lo == lo and new_hi == hi and in_bucket > collect_limit:
-            # the range no longer shrinks: lo/hi are (near-)adjacent
-            # doubles, so at most two distinct values remain — one count
-            # pass of the low value settles rank k without collecting
-            n_lo = int(
-                tree_aggregate(
-                    ds.map_batches(
-                        lambda bt: pd.DataFrame(
-                            {
-                                "g": np.zeros(1, dtype="int64"),
-                                "c": [
-                                    int(
-                                        np.sum(
-                                            bt[col].to_numpy(np.float64) == lo
-                                        )
-                                    )
-                                ],
-                            }
-                        ),
-                        batch_format="pandas",
-                    ),
-                    keys=["g"],
-                    aggs={"c": ("c", "sum")},
-                ).to_pandas()["c"][0]
-            )
-            return lo if k <= n_lo else hi
-
-        if in_bucket <= collect_limit:
-            # (a degenerate non-shrinking range with in_bucket >
-            # collect_limit already returned via the two-value count
-            # above, so this collect is always bounded)
-
-            def collect(batch: pd.DataFrame, edges=edges, b=b) -> pd.DataFrame:
-                v = batch[col].to_numpy(np.float64)
-                m = (v >= edges[0]) & (v <= edges[-1])
-                v = v[m]
-                v = v[bucket_ids(v, edges) == b]
-                return pd.DataFrame({"v": v})
-
-            vals = np.sort(
-                ds.map_batches(collect, batch_format="pandas")
-                .to_pandas()["v"]
-                .to_numpy(np.float64),
-                kind="mergesort",
-            )
-            return float(vals[k - 1])
-        lo, hi = new_lo, new_hi
+        batch_format="pandas",
+    )
+    return grouped_select_kth(one, "g", "v", {0: k}, n_cells, collect_limit)[0]
 
 
 def grouped_select_kth(
@@ -402,21 +265,24 @@ def grouped_select_kth(
     key: str,
     col: str,
     ks: dict,
-    n_buckets: int = 256,
+    n_cells: int = 256,
     collect_limit: int = 8192,
 ):
-    """EXACT k-th smallest of ``col`` PER GROUP without any sort — the
-    grouped twin of select_kth: every scan round histograms ALL live
-    (group, rank) targets simultaneously (per-batch partials emit
-    (group, target, bucket, count) rows — nothing else), the driver
-    keeps one [lo, hi, k] triple per target and descends each target's
-    histogram independently; targets converge in the SAME ~3 rounds, so
-    total cost is ~3 scans no matter how many groups OR how many ranks
-    per group (quantile boundaries come out of one descent). One final
-    scan collects every unfinished target's survivor cell at once.
+    """EXACT k-th smallest of ``col`` PER GROUP without any sort (and
+    the one selection loop behind :func:`select_kth`): every scan round
+    histograms ALL live (group, rank) targets simultaneously (per-batch
+    partials emit (group, target, cell, count) rows — nothing else), the
+    driver keeps one [lo, hi, k] triple per target and descends each
+    target's histogram independently; targets converge in the SAME ~3
+    rounds, so total cost is ~3 scans no matter how many groups OR how
+    many ranks per group (quantile boundaries come out of one descent).
+    One final scan collects every unfinished target's survivor cell at
+    once. Deterministic: the count and collect passes place a value with
+    the same searchsorted over the same np.linspace edges, so its cell
+    never disagrees between them.
 
     ``ks``: {group_value: k} or {group_value: [k1, k2, ...]} (1-based).
-    DRIVER-STATE CONTRACT: state is O(|targets| * n_buckets) — right
+    DRIVER-STATE CONTRACT: state is O(|targets| * n_cells) — right
     for bounded key domains (event types, languages, doc types);
     corpus-sized key domains belong on the exchange-based
     grouped-quantile path instead.
@@ -457,7 +323,7 @@ def grouped_select_kth(
                 int(kk),
             ]
 
-    def bucket_ids(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    def cell_ids(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
         b = np.searchsorted(edges, v, side="right") - 1
         return np.clip(b, 0, len(edges) - 2)
 
@@ -470,7 +336,7 @@ def grouped_select_kth(
         edges_of: dict = {}
         for (g, i) in live:
             edges_of.setdefault(g, {})[i] = np.linspace(
-                state[(g, i)][0], state[(g, i)][1], n_buckets + 1
+                state[(g, i)][0], state[(g, i)][1], n_cells + 1
             )
 
         def count_pass(batch: pd.DataFrame, edges_of=edges_of) -> pd.DataFrame:
@@ -482,13 +348,13 @@ def grouped_select_kth(
                 vv = grp[col].to_numpy(np.float64)
                 for i, e in targets.items():
                     v = vv[(vv >= e[0]) & (vv <= e[-1])]
-                    c = np.bincount(bucket_ids(v, e), minlength=n_buckets)
+                    c = np.bincount(cell_ids(v, e), minlength=n_cells)
                     rows.append(
                         pd.DataFrame(
                             {
                                 key: g,
                                 "t": np.int64(i),
-                                "b": np.arange(n_buckets, dtype="int64"),
+                                "b": np.arange(n_cells, dtype="int64"),
                                 "c": c.astype("int64"),
                             }
                         )
@@ -518,24 +384,24 @@ def grouped_select_kth(
         tie_spec: dict = {}
         for (g, i) in list(live):
             h = hist[(hist[key] == g) & (hist["t"] == i)]
-            counts = np.zeros(n_buckets, dtype=np.int64)
+            counts = np.zeros(n_cells, dtype=np.int64)
             counts[h["b"].to_numpy(np.int64)] = h["c"].to_numpy(np.int64)
             cum = np.cumsum(counts)
             lo, hi, k = state[(g, i)]
             b = int(np.searchsorted(cum, k, side="left"))
-            in_bucket = int(counts[b])
+            in_cell = int(counts[b])
             k2 = k - (int(cum[b - 1]) if b else 0)
             e = edges_of[g][i]
             new_lo, new_hi = float(e[b]), float(e[b + 1])
-            if new_lo == lo and new_hi == hi and in_bucket > collect_limit:
+            if new_lo == lo and new_hi == hi and in_cell > collect_limit:
                 # non-shrinking range: lo/hi are (near-)adjacent doubles,
                 # so at most two distinct values remain — one equality
                 # count of the low value settles rank k2 (the duplicate-
                 # heavy case, e.g. integer-valued columns with a single
-                # dominant value; same resolution as select_kth's branch)
+                # dominant value)
                 tie_spec.setdefault(g, {})[i] = (lo, hi, k2)
                 live.discard((g, i))
-            elif in_bucket <= collect_limit:
+            elif in_cell <= collect_limit:
                 collect_spec.setdefault(g, {})[i] = (e, b, k2)
                 live.discard((g, i))
             else:
@@ -595,7 +461,7 @@ def grouped_select_kth(
                     vv = grp[col].to_numpy(np.float64)
                     for i, (e, b, _) in targets.items():
                         v = vv[(vv >= e[0]) & (vv <= e[-1])]
-                        v = v[bucket_ids(v, e) == b]
+                        v = v[cell_ids(v, e) == b]
                         rows.append(
                             pd.DataFrame({key: g, "t": np.int64(i), "v": v})
                         )

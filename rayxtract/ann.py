@@ -678,16 +678,15 @@ def knn_graph_ivf(
     seed: int = 13,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    n_buckets: int | None = None,
 ):
     """IVF-bucketed APPROXIMATE kNN graph — the corpus-scale path: every
     vector is a MEMBER of its nearest coarse cell and a QUERY in its
     ``nprobe`` nearest cells; one cell-keyed exchange computes local
     top-k inside each cell (group size ~ n/n_cells; neighbor candidates
     never leave their cell except as <= nprobe*k candidate rows per
-    vector), one bucketed exchange (``n_buckets``, size-derived unless
-    explicit) merges per-vector candidates. Recall
-    vs the exact graph is gated by ``emb_knn_graph_recall``. Returns
+    vector), one bucketed exchange (fan-out ``scale.resolve()``, like
+    every exchange's) merges per-vector candidates. Recall vs the exact
+    graph is gated by ``emb_knn_graph_recall``. Returns
     (vec_id, nbr_id, sim) with <= k rows per vector."""
     import ray
 
@@ -779,4 +778,4 @@ def knn_graph_ivf(
             .reset_index(drop=True)
         )
 
-    return exchange(cand, "vec_id", merge_topk, n_buckets)
+    return exchange(cand, "vec_id", merge_topk)

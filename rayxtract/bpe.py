@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def word_count_table(ds, text_col: str = "text", n_buckets: int | None = None):
+def word_count_table(ds, text_col: str = "text"):
     """(word, cnt) over a whitespace-split corpus — one bucketed exchange
     of per-batch partial counts (vocabulary-sized output)."""
     from .agg import bucketed_aggregate
@@ -59,7 +59,6 @@ def word_count_table(ds, text_col: str = "text", n_buckets: int | None = None):
         ds.map_batches(explode, batch_format="pandas"),
         keys=["word"],
         aggs={"cnt": ("cnt", "sum")},
-        n_buckets=n_buckets,
     )
 
 
@@ -126,7 +125,6 @@ def bpe_train(
     ds,
     text_col: str = "text",
     n_merges: int = 200,
-    n_buckets: int | None = None,
     driver_threshold: int = 500_000,
 ):
     """Train a BPE merge list over a corpus. Returns a DataFrame
@@ -135,17 +133,15 @@ def bpe_train(
     also need the (word, cnt) table (e.g. to publish a word-token
     artifact) should build it once and call :func:`bpe_train_from_table`
     — this convenience wrapper pays the corpus exchange itself."""
-    wc_ds = word_count_table(ds, text_col=text_col, n_buckets=n_buckets)
+    wc_ds = word_count_table(ds, text_col=text_col)
     return bpe_train_from_table(
-        wc_ds.materialize(), n_merges=n_merges, n_buckets=n_buckets,
-        driver_threshold=driver_threshold,
+        wc_ds.materialize(), n_merges=n_merges, driver_threshold=driver_threshold
     )
 
 
 def bpe_train_from_table(
     wc_ds,
     n_merges: int = 200,
-    n_buckets: int | None = None,
     driver_threshold: int = 500_000,
 ):
     """Train from a MATERIALIZED (word, cnt) vocabulary table — the
@@ -156,7 +152,7 @@ def bpe_train_from_table(
             wc.update(zip(b["word"], b["cnt"].astype(int)))
         merges = bpe_train_from_counts(wc, n_merges)
     else:
-        merges = _bpe_train_distributed(wc_ds, n_merges, n_buckets)
+        merges = _bpe_train_distributed(wc_ds, n_merges)
     return pd.DataFrame(
         {
             "rank": pd.Series(range(len(merges)), dtype="int64"),
@@ -166,7 +162,7 @@ def bpe_train_from_table(
     )
 
 
-def _bpe_train_distributed(wc_ds, n_merges: int, n_buckets: int | None) -> list:
+def _bpe_train_distributed(wc_ds, n_merges: int) -> list:
     """Distributed merge rounds over the vocabulary table: per round, ONE
     pair-count exchange (per-batch partials -> tree aggregate -> top-1
     with the deterministic tie-break) and one broadcast merge

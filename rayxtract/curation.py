@@ -291,7 +291,6 @@ def paragraph_dedup(
     id_col: str = "url",
     text_col: str = "text",
     sep: str = "\n",
-    n_buckets: int | None = None,
 ):
     """Global exact paragraph dedup, C4-style (arXiv:1910.10683 §2.2): every
     repeated paragraph survives only at its first occurrence — the globally
@@ -352,7 +351,7 @@ def paragraph_dedup(
         )
 
     return exchange(
-        ds.map_batches(explode, batch_format="pandas"), "fp", keep_winners, n_buckets
+        ds.map_batches(explode, batch_format="pandas"), "fp", keep_winners
     ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
 
 
@@ -362,7 +361,6 @@ def line_boilerplate(
     id_col: str = "url",
     text_col: str = "text",
     sep: str = "\n",
-    n_buckets: int | None = None,
     broadcast_limit: int = 2_000_000,
 ):
     """Frequency-based boilerplate-line removal (RefinedWeb / CCNet family,
@@ -426,7 +424,7 @@ def line_boilerplate(
     # degenerate corpus (every line shared) degrades to the exchange path
     # instead of a driver OOM
     boiler = exchange(
-        ds.map_batches(detect_pairs, batch_format="pandas"), "fp", frequent, n_buckets
+        ds.map_batches(detect_pairs, batch_format="pandas"), "fp", frequent
     ).materialize()
     use_broadcast = boiler.count() <= broadcast_limit
 
@@ -517,7 +515,7 @@ def line_boilerplate(
         )
 
     kept = exchange(
-        ds.map_batches(explode, batch_format="pandas"), "fp", drop_frequent, n_buckets
+        ds.map_batches(explode, batch_format="pandas"), "fp", drop_frequent
     ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
     # docs whose every line was boilerplate emit no row from the exchange;
     # left-join against the id universe so both paths agree row-for-row
@@ -563,7 +561,6 @@ def line_boilerplate(
         left_key=id_col,
         right_key=id_col,
         how="left",
-        n_buckets=n_buckets,
     )
     return joined.groupby(id_col).map_groups(fill, batch_format="pandas")
 

@@ -23,7 +23,6 @@ import pyarrow.compute as pc
 
 __all__ = [
     "dedup_keep_latest",
-    "local_keep_latest",
     "decontaminate",
     "ngram_contamination",
     "dup_span_stats",
@@ -54,32 +53,15 @@ def _keep_latest_table(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(mask))
 
 
-def local_keep_latest(batch: pa.Table) -> pa.Table:
-    """Within-block combiner — safe pre-shuffle reduction."""
-    return _keep_latest_table(batch)
-
-
-def _group_keep_latest(group: pa.Table) -> pa.Table:
-    return _keep_latest_table(group)
-
-
-def dedup_keep_latest(ds, by_partition: bool = True):
-    """EXCHANGE-based dedup: local combine -> groupby shuffle -> per-group
-    pick. This is the strict/general-purpose op; the flagship pipeline
-    resolves recrawls WITHOUT moving payloads (pipeline.py pass A winner
-    map) and does not call this.
-
-    With ``by_partition=True`` (requires a ``partition_id`` column whose
-    value is a function of url, e.g. hash(url) % P) the exchange groups by
-    partition_id: all crawls of a url share its partition, so within-group
-    url-dedup is globally exact, the exchange has P groups instead of
-    |urls|, and output blocks align with partitions (no tiny-file fanout
-    under ``partition_cols`` writes). ``by_partition=False`` groups by url
-    directly — for ad-hoc tables without a partition column.
+def dedup_keep_latest(ds):
+    """EXCHANGE-based dedup: local combine -> groupby(url) shuffle ->
+    per-group pick. This is the strict/general-purpose op; the flagship
+    pipeline resolves recrawls WITHOUT moving payloads (pipeline.py pass
+    A winner map) and does not call this. The within-block combine is a
+    safe pre-shuffle reduction: it drops recrawls that share a block.
     """
-    ds = ds.map_batches(local_keep_latest, batch_format="pyarrow")
-    key = "partition_id" if by_partition else "url"
-    return ds.groupby(key).map_groups(_group_keep_latest, batch_format="pyarrow")
+    ds = ds.map_batches(_keep_latest_table, batch_format="pyarrow")
+    return ds.groupby("url").map_groups(_keep_latest_table, batch_format="pyarrow")
 
 
 def decontaminate(
@@ -377,7 +359,6 @@ def dup_span_stats(
     w: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int | None = None,
     broadcast_limit: int = 5_000_000,
 ):
     """Per-document duplicated-span statistics + cleaned-text digest.
@@ -442,7 +423,6 @@ def dup_span_stats(
         docs.map_batches(detect_partial_cls(), batch_format="pandas"),
         keys=["win_h"],
         aggs={"min_doc": ("min_doc", "min"), "max_doc": ("max_doc", "max")},
-        n_buckets=n_buckets,
     )
 
     def only_dup(batch: pd.DataFrame) -> pd.DataFrame:
@@ -557,7 +537,6 @@ def dup_span_stats(
         dup.map_batches(dup_marked, batch_format="pandas"),
         "win_h",
         "win_hr",
-        n_buckets=n_buckets,
         how="inner",
     )
 
@@ -572,9 +551,7 @@ def dup_span_stats(
 
     packed = hits.groupby(id_col).map_groups(pack_starts, batch_format="pandas")
     docs_sel = docs.select_columns([id_col, text_col])
-    joined = bucketed_join(
-        docs_sel, packed, id_col, id_col, n_buckets=n_buckets, how="left"
-    )
+    joined = bucketed_join(docs_sel, packed, id_col, id_col, how="left")
 
     def finalize(batch: pd.DataFrame) -> pd.DataFrame:
         texts, starts_all = [], []
@@ -596,7 +573,6 @@ def cross_corpus_novelty(
     w: int = 6,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int | None = None,
 ):
     """NOVELTY SCORING against an existing corpus: for every NEW
     document, how many of its w-token windows already occur anywhere in
@@ -697,12 +673,11 @@ def cross_corpus_novelty(
         )
         return part.groupby("doc", as_index=False).sum()
 
-    partials = exchange(rows, "win_h", probe_bucket, n_buckets)
+    partials = exchange(rows, "win_h", probe_bucket)
     out = bucketed_aggregate(
         partials,
         keys=["doc"],
         aggs={"n_windows": ("n_windows", "sum"), "n_seen": ("n_seen", "sum")},
-        n_buckets=n_buckets,
     )
 
     def rename(batch: pd.DataFrame) -> pd.DataFrame:

@@ -148,7 +148,7 @@ class LinkExtractBatch:
         )
 
 
-def extract_link_edges(pages_ds, n_buckets: int | None = None):
+def extract_link_edges(pages_ds):
     """Weighted link edges (src_url, href, n_links) from a pages Dataset.
 
     Input needs (url, html); pass a column-pruned read. The count combine
@@ -180,12 +180,7 @@ def extract_link_edges(pages_ds, n_buckets: int | None = None):
         out["n_links"] = out["n_links"].astype("int64")
         return out
 
-    return exchange(
-        links.map_batches(partial, batch_format="pandas"),
-        "src_url",
-        merge,
-        n_buckets,
-    )
+    return exchange(links.map_batches(partial, batch_format="pandas"), "src_url", merge)
 
 
 def url_node_id(urls) -> np.ndarray:
@@ -222,7 +217,6 @@ def pagerank(
     edges,
     damping: float = 0.85,
     n_iter: int = 10,
-    n_buckets: int | None = None,
     src_col: str = "src_url",
     dst_col: str = "dst_url",
     weight_col: str | None = None,
@@ -264,7 +258,6 @@ def pagerank(
     The per-round repartition caps block growth (union doubles it
     otherwise); driver traffic per round is ONE scalar.
     """
-    n_buckets = _scale.resolve(n_buckets)
     import ray.data
 
     from .agg import bucketed_aggregate
@@ -300,12 +293,9 @@ def pagerank(
         return out
 
     raw_edges = edges.map_batches(to_ids, batch_format="pandas").materialize()
-    out_w = bucketed_aggregate(
-        raw_edges, keys=["src"], aggs={"out_w": ("w", "sum")},
-        n_buckets=n_buckets,
-    )
+    out_w = bucketed_aggregate(raw_edges, keys=["src"], aggs={"out_w": ("w", "sum")})
     id_edges = (
-        bucketed_join(raw_edges, out_w, "src", "src", n_buckets=n_buckets)
+        bucketed_join(raw_edges, out_w, "src", "src")
         .map_batches(
             lambda b: pd.DataFrame(
                 {
@@ -402,15 +392,13 @@ def pagerank(
             )
 
     base = (1.0 - damping) / n_nodes
+    n = _scale.resolve()
     for _ in range(n_iter):
-        joined = bucketed_join(
-            id_edges, state, "src", "node", n_buckets=n_buckets
-        )
+        joined = bucketed_join(id_edges, state, "src", "node")
         sums = bucketed_aggregate(
             joined.map_batches(contrib, batch_format="pandas"),
             keys=["dst"],
             aggs={"c": ("c", "sum")},
-            n_buckets=n_buckets,
         ).materialize()
         # rank mass is exactly 1 per round; non-dangling nodes forward all
         # of theirs, so the dangling mass is the remainder — no extra pass
@@ -442,18 +430,14 @@ def pagerank(
         # count doubles (measured 3 -> 511 over 8 rounds, and sort cost
         # with it) — the iterative-Dataset analogue of lineage growth
         state = (
-            bucketed_join(
-                node_ids, sums, "node", "dst",
-                n_buckets=n_buckets, how="left",
-            )
+            bucketed_join(node_ids, sums, "node", "dst", how="left")
             .map_batches(update, batch_format="pandas")
-            .repartition(n_buckets)
+            .repartition(n)
             .materialize()
         )
 
     ranked = bucketed_join(
-        nodes, state.select_columns(["node", "rank"]), "node", "node",
-        n_buckets=n_buckets,
+        nodes, state.select_columns(["node", "rank"]), "node", "node"
     )
     return ranked.select_columns(["url", "rank"])
 
@@ -529,9 +513,7 @@ def resolve_edges(edges_ds, src_col: str = "src_url", href_col: str = "href"):
     return edges_ds.map_batches(fn, batch_format="pandas")
 
 
-def triangle_count(
-    edges_ds, a_col: str = "a", b_col: str = "b", n_buckets: int | None = None
-) -> int:
+def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
     """Exact GLOBAL TRIANGLE COUNT via degree-ordered orientation — the
     textbook distributed formulation (orient every undirected edge from
     its lower-(degree, id) endpoint, enumerate wedges only over
@@ -549,7 +531,6 @@ def triangle_count(
     ONE string-keyed bucketed join. The only driver value is the final
     count. Tie-breaks compare RAW node values in both the orientation and
     the wedge ordering — the two must agree or triangles are missed."""
-    n_buckets = _scale.resolve(n_buckets)
     from .agg import bucketed_aggregate, exchange
     from .joins import auto_join, bucketed_join
 
@@ -571,7 +552,6 @@ def triangle_count(
         edges_ds.map_batches(canon, batch_format="pandas"),
         keys=["a", "b"],
         aggs={"n": ("one", "sum")},
-        n_buckets=n_buckets,
     ).materialize()  # distinct undirected edges; two consumers below
 
     deg = bucketed_aggregate(
@@ -586,7 +566,6 @@ def triangle_count(
         ),
         keys=["node"],
         aggs={"deg": ("one", "sum")},
-        n_buckets=n_buckets,
     ).materialize()  # node-dimension-sized; consumed twice (deg_a, deg_b)
     deg_a = deg.map_batches(
         lambda b: pd.DataFrame(
@@ -639,7 +618,7 @@ def triangle_count(
         )
         return pd.DataFrame({"ck": pd.Series(ck, dtype="object")})
 
-    cands = exchange(oriented, "u", wedges, n_buckets)
+    cands = exchange(oriented, "u", wedges)
     ekeys = oriented.map_batches(
         lambda b: pd.DataFrame(
             {
@@ -650,14 +629,13 @@ def triangle_count(
         ),
         batch_format="pandas",
     )
-    closed = bucketed_join(cands, ekeys, "ck", "ek", n_buckets=n_buckets)
+    closed = bucketed_join(cands, ekeys, "ck", "ek")
     return int(closed.count())
 
 
 def hits(
     edges,
     n_iter: int = 10,
-    n_buckets: int | None = None,
     src_col: str = "src_url",
     dst_col: str = "dst_url",
     driver_threshold: int = 2_000_000,
@@ -686,7 +664,6 @@ def hits(
     Duplicate (src, dst) rows act as parallel edges (weight = occurrence
     count) in BOTH kernels, so the equivalence gate covers multigraphs.
     """
-    n_buckets = _scale.resolve(n_buckets)
     import ray.data
 
     from .agg import bucketed_aggregate
@@ -752,6 +729,7 @@ def hits(
         )
 
     hub = node_ids.map_batches(init_state, batch_format="pandas").materialize()
+    n = _scale.resolve()
 
     def half_step(state, from_col, via_key, to_key, out_col):
         """One HITS half-round: state[from_col] flows across every edge
@@ -760,8 +738,7 @@ def hits(
         back onto the full node set (nodes with no inbound contribution
         get 0)."""
         joined = bucketed_join(
-            id_edges, state.select_columns(["node", from_col]),
-            via_key, "node", n_buckets=n_buckets,
+            id_edges, state.select_columns(["node", from_col]), via_key, "node"
         )
         sums = bucketed_aggregate(
             joined.map_batches(
@@ -775,7 +752,6 @@ def hits(
             ),
             keys=["t"],
             aggs={"c": ("c", "sum")},
-            n_buckets=n_buckets,
         ).materialize()
         total = sums.sum("c") or 0.0
         norm = total if total > 0 else 1.0
@@ -790,11 +766,9 @@ def hits(
             return out
 
         return (
-            bucketed_join(
-                node_ids, sums, "node", "t", n_buckets=n_buckets, how="left"
-            )
+            bucketed_join(node_ids, sums, "node", "t", how="left")
             .map_batches(attach, batch_format="pandas")
-            .repartition(n_buckets)
+            .repartition(n)
             .materialize()
         )
 
@@ -808,10 +782,8 @@ def hits(
         # hub(u) = sum over u->v of auth(v), normalized — uses the NEW auth
         hub = half_step(auth, "auth", "dst", "src", "hub")
 
-    state = bucketed_join(auth, hub, "node", "node", n_buckets=n_buckets)
-    ranked = bucketed_join(
-        nodes, state, "node", "node", n_buckets=n_buckets,
-    )
+    state = bucketed_join(auth, hub, "node", "node")
+    ranked = bucketed_join(nodes, state, "node", "node")
     return ranked.select_columns(["url", "auth", "hub"])
 
 

@@ -168,9 +168,7 @@ def _null_for(dtype: str):
     return pd.NA  # Int64 / object
 
 
-def find_hot_keys(
-    ds, key: str, min_frac: float = 0.05, n_buckets: int | None = None
-):
+def find_hot_keys(ds, key: str, min_frac: float = 0.05):
     """Distributed hot-key detector: bucketed per-key counts (partial
     combine first — only (key, count) partials move), then filter to keys
     holding >= ``min_frac`` of all rows. Returns a plain Python set of
@@ -182,9 +180,7 @@ def find_hot_keys(
 
     total = ds.count()
     thresh = max(1, int(total * min_frac))
-    counts = bucketed_aggregate(
-        ds, keys=[key], aggs={"n": (key, "count")}, n_buckets=n_buckets
-    )
+    counts = bucketed_aggregate(ds, keys=[key], aggs={"n": (key, "count")})
     hot = counts.map_batches(
         lambda b: b[b["n"] >= thresh][[key]], batch_format="pandas"
     ).to_pandas()
@@ -282,9 +278,7 @@ def _spread_shards(keys: np.ndarray, hot: np.ndarray, salt: int) -> np.ndarray:
     return shard
 
 
-def _exchange_join(
-    left, right, left_key, right_key, merge, n_buckets=None, hot=(), salt=1
-):
+def _exchange_join(left, right, left_key, right_key, merge, hot=(), salt=1):
     """The one two-sided exchange behind every non-broadcast join.
 
     Each side's schema is read once. Every row is aligned to the union of
@@ -351,7 +345,7 @@ def _exchange_join(
             group.loc[side == 1, right_cols + extra],
         )
 
-    return exchange(both, _XKEY, run, n_buckets)
+    return exchange(both, _XKEY, run)
 
 
 def _small_side(right, limit: int):
@@ -426,13 +420,13 @@ def bucketed_join(
     right,
     left_key: str,
     right_key: str,
-    n_buckets: int | None = None,
     how: str = "inner",
     hot_keys=None,
     salt: int = 8,
 ):
-    """Explicit partitioned hash join on the two-sided exchange, one
-    pandas merge per bucket. ``how`` in inner|left|right|outer (left
+    """Explicit partitioned hash join on the two-sided exchange (its
+    fan-out is ``scale.resolve()``, like every exchange's), one pandas
+    merge per bucket. ``how`` in inner|left|right|outer (left
     preserves every left row; right preserves every right row; outer
     preserves both sides — for right/outer the left key column is
     coalesced from the right key so unmatched right rows keep their key);
@@ -457,7 +451,7 @@ def bucketed_join(
         raise ValueError("salt must be >= 1")
     return _exchange_join(
         left, right, left_key, right_key, _equi_merge(left_key, right_key, how),
-        n_buckets, hot, salt,
+        hot, salt,
     )
 
 
@@ -503,7 +497,6 @@ def interval_join(
     ts_col: str,
     start_col: str,
     end_col: str,
-    n_buckets: int | None = None,
     how: str = "inner",
     broadcast_limit: int = 500_000,
 ):
@@ -546,7 +539,7 @@ def interval_join(
     intervals, frame = _small_side(intervals, broadcast_limit)
     if frame is not None:
         return _broadcast_join(left, frame, merge)
-    return _exchange_join(left, intervals, key, key, merge, n_buckets)
+    return _exchange_join(left, intervals, key, key, merge)
 
 
 def auto_join(
@@ -556,7 +549,6 @@ def auto_join(
     right_key: str,
     how: str = "inner",
     broadcast_limit: int = 500_000,
-    n_buckets: int | None = None,
 ):
     """Size-adaptive join — the AQE-style physical-plan choice. For
     inner|left, the RIGHT side (callers pass the smaller/dimension side)
@@ -570,10 +562,10 @@ def auto_join(
     if how not in _HOWS:
         raise ValueError(f"unsupported join type {how!r}")
     if how in ("right", "outer"):
-        return bucketed_join(left, right, left_key, right_key, n_buckets, how)
+        return bucketed_join(left, right, left_key, right_key, how)
     right, frame = _small_side(right, broadcast_limit)
     if frame is None:
-        return bucketed_join(left, right, left_key, right_key, n_buckets, how)
+        return bucketed_join(left, right, left_key, right_key, how)
     if frame[right_key].isna().any():
         raise ValueError(_NULL_KEYS)
     equi = _equi_merge(left_key, right_key, how)

@@ -96,7 +96,7 @@ def score_bucket(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def bigram_fluency(ds, n_buckets: int | None = None):
+def bigram_fluency(ds):
     """``(doc_id, n_bigrams, fluency)`` for every doc with >= 1 bigram;
     ``fluency = sum(occ * (c12 * SCALE // c1)) // n_bigrams`` — the
     scaled-integer mean MLE bigram probability under the corpus-trained
@@ -107,13 +107,11 @@ def bigram_fluency(ds, n_buckets: int | None = None):
         ds.map_batches(explode_bigram_counts, batch_format="pandas"),
         "w1",
         score_bucket,
-        n_buckets,
     )
     per_doc = bucketed_aggregate(
         parts,
         keys=["doc_id"],
         aggs={"contrib": ("contrib", "sum"), "n_bigrams": ("n_bigrams", "sum")},
-        n_buckets=n_buckets,
     )
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
@@ -149,7 +147,7 @@ def explode_global_bigrams(batch: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = None):
+def pmi_bigrams(ds, min_count: int = 5, k: int = 50):
     """Top-k bigram collocations by pointwise mutual information
     (Church & Hanks 1990) — the phrase-mining signal used to build
     phrase vocabularies for training corpora.
@@ -183,7 +181,6 @@ def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = Non
         ds.map_batches(explode_global_bigrams, batch_format="pandas"),
         "w1",
         reduce_w1,
-        n_buckets,
     )
 
     def attach_w2(group: pd.DataFrame) -> pd.DataFrame:
@@ -193,7 +190,7 @@ def pmi_bigrams(ds, min_count: int = 5, k: int = 50, n_buckets: int | None = Non
 
     # materialized: consumed twice (scalar N + the ratio pass), and a lazy
     # Dataset re-executes per consumer (Ray 2.49 gotcha)
-    full = exchange(by_w1, "w2", attach_w2, n_buckets).materialize()
+    full = exchange(by_w1, "w2", attach_w2).materialize()
     n_total = int(full.sum("c12") or 0)
 
     def ratio(batch: pd.DataFrame) -> pd.DataFrame:

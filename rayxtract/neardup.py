@@ -36,7 +36,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from . import scale as _scale
 from .agg import exchange
 
 logger = logging.getLogger(__name__)
@@ -620,7 +619,6 @@ def prefix_filter_pairs(
     ds,
     k: int = 3,
     threshold: float = 0.5,
-    n_buckets: int | None = None,
     id_col: str = "doc_id",
     text_col: str = "text",
 ):
@@ -658,8 +656,6 @@ def prefix_filter_pairs(
     import math
 
     import ray
-
-    n_buckets = _scale.resolve(n_buckets)
 
     from .agg import bucketed_aggregate
     from .joins import bucketed_join
@@ -719,13 +715,12 @@ def prefix_filter_pairs(
         ),
         keys=[id_col],
         aggs={"sz": ("sz", "min"), "sig": ("sig", "min")},
-        n_buckets=n_buckets,
     ).materialize()  # consumed by rep_by_sig AND class_map
     rep_by_sig = bucketed_aggregate(
-        doc_sig, keys=["sig"], aggs={"rep": (id_col, "min")}, n_buckets=n_buckets
+        doc_sig, keys=["sig"], aggs={"rep": (id_col, "min")}
     ).materialize()
     class_map = bucketed_join(
-        doc_sig, rep_by_sig, "sig", "sig", n_buckets=n_buckets
+        doc_sig, rep_by_sig, "sig", "sig"
     ).materialize()  # (doc_id, sz, sig, rep)
 
     def _members_only(b: pd.DataFrame) -> pd.DataFrame:
@@ -806,7 +801,7 @@ def prefix_filter_pairs(
         # the prefix pipeline runs over REPRESENTATIVE gram rows only —
         # one narrow sig-keyed exchange; members' rows drop here and are
         # recovered exactly by the expansion below
-        gr = bucketed_join(grams, rep_by_sig, "sig", "sig", n_buckets=n_buckets)
+        gr = bucketed_join(grams, rep_by_sig, "sig", "sig")
         pref2 = ray.put(promoted)
 
         def reps_only(b: pd.DataFrame) -> pd.DataFrame:
@@ -827,9 +822,8 @@ def prefix_filter_pairs(
         ),
         keys=["g"],
         aggs={"df": ("one", "sum")},
-        n_buckets=n_buckets,
     )
-    gd = bucketed_join(work, df, "g", "g", n_buckets=n_buckets)
+    gd = bucketed_join(work, df, "g", "g")
 
     def prefix(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["df", "g"], kind="mergesort")
@@ -978,8 +972,8 @@ def prefix_filter_pairs(
             batch_format="pandas",
         )
 
-    e1 = bucketed_join(verified, _cm("__ma"), "doc_a", "rep", n_buckets=n_buckets)
-    e2 = bucketed_join(e1, _cm("__mb"), "doc_b", "rep", n_buckets=n_buckets)
+    e1 = bucketed_join(verified, _cm("__ma"), "doc_a", "rep")
+    e2 = bucketed_join(e1, _cm("__mb"), "doc_b", "rep")
 
     def norm(b: pd.DataFrame) -> pd.DataFrame:
         a = b["__ma"].astype("int64").to_numpy()

@@ -92,11 +92,7 @@ def _shard_partial_fn(path: str, n_buckets: int):
     )
     part["n"] = part["n"].astype("int64")
     b = bucket_of(part["url"], n_buckets)
-    parts = tuple(
-        part[b == i].reset_index(drop=True) for i in range(n_buckets)
-    )
-    # num_returns=1 stores the return value whole: hand back the frame
-    return parts if n_buckets > 1 else parts[0]
+    return tuple(part[b == i].reset_index(drop=True) for i in range(n_buckets))
 
 
 def _bucket_reduce_fn(*frames):
@@ -113,16 +109,15 @@ def _bucket_reduce_fn(*frames):
     return out[out["n"] > 1].reset_index(drop=True)
 
 
-def compute_recrawl_winners(
-    pages_path: str, n_buckets: int | None = None
-) -> tuple[dict[str, int], dict[str, int]]:
+def compute_recrawl_winners(pages_path: str) -> tuple[dict[str, int], dict[str, int]]:
     """Pass A, fully distributed: hash-bucketed two-level reduce.
 
     Reads just (url, warc_ts) — column pruning keeps this pass ~0.1% of the
-    input bytes. Stage 1 (one task per shard, ``num_returns=n_buckets``)
-    emits per-url partials (n, max_ts, n_at_max) split by hash(url) bucket;
-    stage 2 (one task per bucket) merges its bucket's partials and emits
-    ONLY urls with n > 1, which the driver splits into winners and ties.
+    input bytes. Stage 1 (one task per shard, ``num_returns`` = the
+    ``scale.resolve()`` fan-out, never below 16) emits per-url partials
+    (n, max_ts, n_at_max) split by hash(url) bucket; stage 2 (one task
+    per bucket) merges its bucket's partials and emits ONLY urls with
+    n > 1, which the driver splits into winners and ties.
 
     Returns ``(winners, ties)``:
       * winners: url -> max warc_ts (microseconds) for dup urls whose max
@@ -138,7 +133,7 @@ def compute_recrawl_winners(
     bucketed task reduce is ~1s.)"""
     import ray
 
-    n_buckets = _scale.resolve(n_buckets)
+    n_buckets = _scale.resolve()
 
     shard_partial = ray.remote(num_cpus=1)(_shard_partial_fn)
     bucket_reduce = ray.remote(num_cpus=1)(_bucket_reduce_fn)
@@ -147,8 +142,6 @@ def compute_recrawl_winners(
         shard_partial.options(num_returns=n_buckets).remote(p, n_buckets)
         for p in shards
     ]
-    if n_buckets == 1:  # num_returns=1 yields a bare ref, not a list
-        per_shard = [[r] for r in per_shard]
     dup_refs = [
         bucket_reduce.remote(*[refs[b] for refs in per_shard])
         for b in range(n_buckets)

@@ -8983,10 +8983,10 @@ QUERIES = {
 def _with_scale_hint(fn):
     """Registry wrapper: stamp the size-derived exchange-fan-out hint from
     the query's input directory before it runs (scale.py — every
-    bucketed_join/bucketed_aggregate with the default ``n_buckets=None``
-    then sizes its exchange to the actual input bytes instead of a fixed
-    16; at the sandbox tiers the derived value IS 16, so oracles keep
-    their layout)."""
+    exchange the query builds then takes its fan-out from
+    ``scale.resolve()``, sized to the actual input bytes instead of a
+    fixed 16; at the sandbox tiers the derived value IS 16, so oracles
+    keep their layout)."""
     import functools
 
     @functools.wraps(fn)

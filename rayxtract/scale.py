@@ -1,7 +1,7 @@
 """Size-derived exchange fan-out (the round-4 VERDICT top task).
 
 Every explicit exchange in this engine hash-partitions into
-``n_buckets`` merge tasks. All of them but one go through
+``resolve()`` merge tasks. All of them but one go through
 ``agg.exchange`` — ``bucketed_aggregate``, every keyed operator and query
 stage, and every join (``bucketed_join``, ``interval_join``,
 ``asof_join`` and ``auto_join`` past its broadcast limit); the flagship
@@ -10,8 +10,8 @@ winner pass is the only remaining direct placement by
 ~6% of a corpus-sized join into one task regardless of corpus size.
 This module derives the fan-out from the bytes actually flowing in:
 
-    n_buckets = clamp(ceil(est_bytes / TARGET_EXCHANGE_BYTES),
-                      MIN_BUCKETS, MAX_BUCKETS)
+    fan-out = clamp(ceil(nbytes / TARGET_EXCHANGE_BYTES),
+                    MIN_BUCKETS, MAX_BUCKETS)
 
 ``TARGET_EXCHANGE_BYTES`` is 64 MiB of ON-DISK parquet per bucket —
 snappy parquet decompresses ~3-5x, so one merge task sees roughly
@@ -24,9 +24,13 @@ The estimate is a CONTEXT HINT, not a per-dataset probe:
 ``Dataset.size_bytes()`` on a lazy pipeline would trigger execution, so
 instead every query entry point stamps the hint once from its input
 directory (sum of parquet file sizes — pure os.scandir, no Ray, no I/O
-beyond directory metadata). Individual call sites that know a tighter
-bound (a pruned two-column projection, a pre-aggregated side) may pass
-``est_bytes=`` or an explicit ``n_buckets=`` — explicit always wins.
+beyond directory metadata). ``resolve()`` is the one source of an
+exchange's fan-out: it takes no arguments, each exchange calls it where
+the exchange is built, and no operator takes a per-call override.
+Tests that need to see or pin the fan-out spy on or stub
+``scale.resolve``. ``exchange_buckets(nbytes)`` applies the same rule
+to an explicit byte count (``tools.cluster_by_url`` sizes its ranges
+with it).
 
 At the sandbox tiers (sf0.001-0.1, <= a few hundred MB) the derived
 value equals MIN_BUCKETS == 16, so every DuckDB oracle keeps its
@@ -42,7 +46,6 @@ __all__ = [
     "exchange_buckets",
     "resolve",
     "set_scale_hint",
-    "scale_hint",
     "hint_from_dir",
     "TARGET_EXCHANGE_BYTES",
     "MIN_BUCKETS",
@@ -54,18 +57,12 @@ MIN_BUCKETS = 16  # the round-1..4 layout; floor keeps small tiers stable
 MAX_BUCKETS = 65536  # metadata ceiling — beyond this, pre-partition by key
 
 _hint_bytes: int | None = None
-# diagnostics: the last value resolve() handed to an exchange (tests read it)
-last_resolved: int | None = None
 
 
 def set_scale_hint(nbytes: int | None) -> None:
     """Stamp the current workload's input size (bytes). ``None`` clears."""
     global _hint_bytes
     _hint_bytes = None if nbytes is None else int(nbytes)
-
-
-def scale_hint() -> int | None:
-    return _hint_bytes
 
 
 def dir_bytes(path: str) -> int:
@@ -101,25 +98,17 @@ def hint_from_dir(path: str) -> int:
     return exchange_buckets()
 
 
-def exchange_buckets(
-    est_bytes: int | None = None,
-    floor: int = MIN_BUCKETS,
-    cap: int = MAX_BUCKETS,
-) -> int:
-    """Bucket count for ``est_bytes`` flowing through one exchange
-    (falls back to the stamped workload hint, then to ``floor``)."""
-    b = _hint_bytes if est_bytes is None else int(est_bytes)
+def exchange_buckets(nbytes: int | None = None) -> int:
+    """Bucket count for ``nbytes`` flowing through one exchange
+    (falls back to the stamped workload hint, then to ``MIN_BUCKETS``)."""
+    b = _hint_bytes if nbytes is None else int(nbytes)
     if not b or b <= 0:
-        return floor
+        return MIN_BUCKETS
     want = -(-b // TARGET_EXCHANGE_BYTES)  # ceil
-    return max(floor, min(cap, int(want)))
+    return max(MIN_BUCKETS, min(MAX_BUCKETS, int(want)))
 
 
-def resolve(n_buckets: int | None, est_bytes: int | None = None) -> int:
-    """The call-site contract: an explicit ``n_buckets`` wins; ``None``
-    derives from ``est_bytes`` / the workload hint. Records the choice
-    in ``last_resolved`` for tests and ``ds.stats()``-style forensics."""
-    global last_resolved
-    n = int(n_buckets) if n_buckets is not None else exchange_buckets(est_bytes)
-    last_resolved = n
-    return n
+def resolve() -> int:
+    """The fan-out of the exchange being built, derived from the stamped
+    workload hint; never less than ``MIN_BUCKETS``."""
+    return exchange_buckets()

@@ -23,3 +23,22 @@ def small_corpus(ray_session):
     from rayxtract.synth import ensure_corpus
 
     return ensure_corpus(1000)
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """Every fan-out ``scale.resolve()`` hands out during the test, in call
+    order. Exchanges resolve on the driver when they are built, so a
+    spy on the module attribute sees each one."""
+    from rayxtract import scale
+
+    seen = []
+    real = scale.resolve
+
+    def spy():
+        n = real()
+        seen.append(n)
+        return n
+
+    monkeypatch.setattr(scale, "resolve", spy)
+    return seen

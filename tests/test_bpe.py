@@ -84,7 +84,7 @@ def test_distributed_rounds_match_driver_kernel(ray_session):
     for parts in (2, 8):
         ds = ray.data.from_pandas(df).repartition(parts)
         wc_ds = word_count_table(ds).materialize()
-        got = _bpe_train_distributed(wc_ds, 12, n_buckets=4)
+        got = _bpe_train_distributed(wc_ds, 12)
         assert got == want, parts
     # the hybrid dispatcher: driver path below the threshold, distributed
     # above (threshold 0 forces it) — identical merge lists

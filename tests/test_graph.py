@@ -160,7 +160,7 @@ def test_triangle_count_random_int_graph(ray_session):
     ds = ray.data.from_pandas(
         pd.DataFrame({"a": a.astype("int64"), "b": b.astype("int64")})
     )
-    assert triangle_count(ds, "a", "b", n_buckets=4) == expected
+    assert triangle_count(ds, "a", "b") == expected
 
 
 def test_triangle_count_string_nodes(ray_session):
@@ -188,7 +188,7 @@ def test_triangle_count_string_nodes(ray_session):
             }
         )
     )
-    assert triangle_count(ds, "a", "b", n_buckets=4) == expected
+    assert triangle_count(ds, "a", "b") == expected
 
 
 def test_hits_matches_dense_reference(ray_session):

@@ -65,13 +65,13 @@ def _right_value_cols(path):
 def _join(path, how, left, right):
     limit = 500_000 if path in _BROADCAST else 0
     if path == "bucketed":
-        return bucketed_join(left, right, "k", "rk", n_buckets=4, how=how)
+        return bucketed_join(left, right, "k", "rk", how=how)
     if path.startswith("auto"):
         return auto_join(left, right, "k", "rk", how=how, broadcast_limit=limit)
     if path.startswith("interval"):
         return interval_join(
             left, right, key="k", ts_col="ts", start_col="start", end_col="end",
-            n_buckets=4, how=how, broadcast_limit=limit,
+            how=how, broadcast_limit=limit,
         )
     return asof_join(left, right, "k", "ts", ["rv"])
 

@@ -193,9 +193,7 @@ def test_resume_and_single_shard(small_corpus, tmp_path):
 
     from rayxtract.pipeline import compute_recrawl_winners
 
-    assert compute_recrawl_winners(str(single), n_buckets=1) == (
-        compute_recrawl_winners(pages_dir)
-    )
+    assert compute_recrawl_winners(str(single)) == compute_recrawl_winners(pages_dir)
 
 
 def test_resume_reruns_shard_rewritten_in_place(small_corpus, tmp_path):
@@ -264,7 +262,7 @@ def test_recrawl_winners_match_duckdb(small_corpus):
     from rayxtract.pipeline import compute_recrawl_winners
 
     pages_dir, _ = small_corpus
-    winners, ties = compute_recrawl_winners(pages_dir, n_buckets=5)
+    winners, ties = compute_recrawl_winners(pages_dir)
     assert not ties  # WARC-style corpus: no exact (url, ts) ties
     con = duckdb.connect()
     exp = dict(
@@ -321,7 +319,7 @@ def test_exact_ts_ties_resolve_to_one_row(tmp_path):
 
     from rayxtract.pipeline import compute_recrawl_winners
 
-    winners, ties = compute_recrawl_winners(str(pdir), n_buckets=3)
+    winners, ties = compute_recrawl_winners(str(pdir))
     assert set(ties) == {"https://t.example/tie-diff", "https://t.example/tie-same"}
     assert winners == {"https://t.example/recrawl": base + 5}
 

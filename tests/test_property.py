@@ -144,7 +144,6 @@ def test_bucketed_join_matches_pandas_merge_randomized(ray_session):
                     ray.data.from_pandas(right),
                     "k",
                     "rk",
-                    n_buckets=4,
                     how=how,
                 )
                 .to_pandas()
@@ -201,7 +200,7 @@ def test_string_keyed_joins_match_pandas_merge(ray_session):
                 if fn == "bucketed":
                     got = bucketed_join(
                         ray.data.from_pandas(left), ray.data.from_pandas(right),
-                        "url", "rurl", n_buckets=4, how=how,
+                        "url", "rurl", how=how,
                     ).to_pandas()
                 else:
                     got = auto_join(
@@ -235,11 +234,11 @@ def test_string_keyed_joins_match_pandas_merge(ray_session):
     for how in ("inner", "left"):
         plain = bucketed_join(
             ray.data.from_pandas(left), ray.data.from_pandas(right),
-            "url", "rurl", n_buckets=4, how=how,
+            "url", "rurl", how=how,
         ).to_pandas()
         salted = bucketed_join(
             ray.data.from_pandas(left), ray.data.from_pandas(right),
-            "url", "rurl", n_buckets=4, how=how, hot_keys=hot, salt=5,
+            "url", "rurl", how=how, hot_keys=hot, salt=5,
         ).to_pandas()
         cols = ["url", "lv", "rv"]
         a = plain[cols].sort_values(cols, na_position="last").reset_index(drop=True)
@@ -309,7 +308,7 @@ def test_interval_join_matches_pandas_reference(ray_session):
                     ray.data.from_pandas(left).repartition(3),
                     ray.data.from_pandas(ivs).repartition(2),
                     key="k", ts_col="ts", start_col="start", end_col="end",
-                    how=how, broadcast_limit=blim, n_buckets=4,
+                    how=how, broadcast_limit=blim,
                 ).to_pandas()
                 got = (
                     got.astype({"start": "float64", "end": "float64",
@@ -345,7 +344,7 @@ def _join_path(path, left, right, lk, rk, how):
     from rayxtract.joins import auto_join, bucketed_join
 
     if path == "bucketed":
-        return bucketed_join(left, right, lk, rk, n_buckets=4, how=how)
+        return bucketed_join(left, right, lk, rk, how=how)
     limit = 0 if path == "auto_exchange" else 500_000
     return auto_join(left, right, lk, rk, how=how, broadcast_limit=limit)
 
@@ -430,12 +429,13 @@ def test_every_join_path_rejects_null_keys(ray_session, path, how):
             ).materialize()
 
 
-def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
+def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session, monkeypatch):
     """Correctness invariance: salting changes task load, never output.
     One key holds ~60% of left rows; right has multiple rows for it (so
     replication must not double-count matches)."""
     import ray.data
 
+    from rayxtract import scale
     from rayxtract.joins import bucketed_join, find_hot_keys
 
     rng = np.random.RandomState(3)
@@ -455,15 +455,16 @@ def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
     hot = find_hot_keys(ray.data.from_pandas(left), "k", min_frac=0.3)
     assert hot == {0}, hot
 
-    # n_buckets 1 and 2 put several (or all) salt shards of the hot key in
-    # one bucket: replicated right rows must still meet each left row once
+    # a fan-out of 1 or 2 (pinned by stubbing scale.resolve) puts several
+    # (or all) salt shards of the hot key in one bucket: replicated right
+    # rows must still meet each left row once
     for n_buckets, how in itertools.product((1, 2, 4), ("inner", "left")):
+        monkeypatch.setattr(scale, "resolve", lambda n=n_buckets: n)
         plain = bucketed_join(
             ray.data.from_pandas(left),
             ray.data.from_pandas(right),
             "k",
             "rk",
-            n_buckets=n_buckets,
             how=how,
         ).to_pandas()
         salted = bucketed_join(
@@ -471,7 +472,6 @@ def test_salted_join_matches_unsalted_with_planted_hot_key(ray_session):
             ray.data.from_pandas(right),
             "k",
             "rk",
-            n_buckets=n_buckets,
             how=how,
             hot_keys=hot,
             salt=5,
@@ -573,7 +573,7 @@ def test_select_kth_matches_numpy(ray_session):
     srt = np.sort(vals)
     n = len(vals)
     for k in (1, 2, n // 2, n - 1, n):
-        got = select_kth(ds, "v", k, n_buckets=32, collect_limit=16)
+        got = select_kth(ds, "v", k, n_cells=32, collect_limit=16)
         assert got == srt[k - 1], (k, got, srt[k - 1])
 
 
@@ -611,7 +611,7 @@ def test_grouped_select_kth_matches_numpy(ray_session):
     ds = ray.data.from_pandas(df.reset_index(drop=True)).map_batches(
         lambda b: b, batch_format="pandas", batch_size=37
     )
-    got = grouped_select_kth(ds, "g", "v", ks, n_buckets=16, collect_limit=8)
+    got = grouped_select_kth(ds, "g", "v", ks, n_cells=16, collect_limit=8)
     assert got == expect, (got, expect)
 
 
@@ -633,7 +633,7 @@ def test_grouped_select_kth_multi_rank(ray_session):
     )
     got = grouped_select_kth(
         ds, "g", "v", {"a": [1, 100, 300], "b": 45},
-        n_buckets=16, collect_limit=8,
+        n_cells=16, collect_limit=8,
     )
     sa, sb = np.sort(a), np.sort(b)
     assert got["a"] == [sa[0], sa[99], sa[299]]
@@ -660,7 +660,7 @@ def test_grouped_select_kth_heavy_ties_and_rank_validation(ray_session):
         lambda b: b, batch_format="pandas", batch_size=4096
     )
     got = grouped_select_kth(
-        ds, "g", "v", {1: 20_000, 2: [1, 50]}, n_buckets=16, collect_limit=64
+        ds, "g", "v", {1: 20_000, 2: [1, 50]}, n_cells=16, collect_limit=64
     )
     assert got[1] == 2.5
     assert got[2] == [0.0, 49.0]

@@ -108,7 +108,7 @@ def test_left_join_typed_nulls():
     o = ray.data.read_parquet(
         f"{SF_DIR}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
-    j = bucketed_join(c, o, "c_custkey", "o_custkey", n_buckets=8, how="left")
+    j = bucketed_join(c, o, "c_custkey", "o_custkey", how="left")
     df = j.to_pandas()
     n_cust = c.count()
     cust_with_orders = set(o.to_pandas()["o_custkey"].astype("int64"))
@@ -121,7 +121,7 @@ def test_left_join_typed_nulls():
         c.to_pandas()["c_custkey"].astype("int64")
     )
     # matched half agrees with the inner join
-    inner = bucketed_join(c, o, "c_custkey", "o_custkey", n_buckets=8).to_pandas()
+    inner = bucketed_join(c, o, "c_custkey", "o_custkey").to_pandas()
     assert len(df) == len(inner) + null_rows
 
 

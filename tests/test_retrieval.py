@@ -92,9 +92,7 @@ def test_cross_corpus_novelty_planted_counts(ray_session):
         }
     )
     out = (
-        cross_corpus_novelty(
-            _from_pandas(old), _from_pandas(new), w=3, n_buckets=4
-        )
+        cross_corpus_novelty(_from_pandas(old), _from_pandas(new), w=3)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -126,7 +124,7 @@ def test_bloom_prefilter_no_false_negatives(ray_session):
 
     pruned = bloom_prefilter(p_ds, b_ds, "k", "k2", n_bits=1 << 16)
     got = (
-        bucketed_join(pruned, b_ds, "k", "k2", n_buckets=4)
+        bucketed_join(pruned, b_ds, "k", "k2")
         .to_pandas()
         .sort_values(["k", "v"])
         .reset_index(drop=True)

@@ -1,29 +1,32 @@
 """Size-derived exchange fan-out (rayxtract.scale) — the r4 VERDICT top
 task: bucket counts must grow with input bytes instead of sitting at a
 fixed 16, while every sandbox-tier workload keeps the round-1..4 layout
-(floor == 16)."""
+(floor == 16). ``scale.resolve()`` is the one source of an exchange's
+fan-out; tests see it through the ``resolved`` spy (conftest.py)."""
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pandas as pd
 import pytest
 from test_queries import SF_DIR
 
+import rayxtract
 from rayxtract import scale
 from rayxtract.joins import auto_join, bucketed_join
 
 
 @pytest.fixture(autouse=True)
-def _clean_hint():
-    prev = scale.scale_hint()
-    scale.set_scale_hint(None)
-    yield
-    scale.set_scale_hint(prev)
+def _clean_hint(monkeypatch):
+    monkeypatch.setattr(scale, "_hint_bytes", None)
 
 
 def test_floor_at_sandbox_scale():
     # no hint and small hints resolve to the historical 16-bucket layout
-    assert scale.exchange_buckets() == scale.MIN_BUCKETS == 16
-    assert scale.exchange_buckets(est_bytes=100 << 20) == 16
+    assert scale.resolve() == scale.exchange_buckets() == scale.MIN_BUCKETS == 16
+    assert scale.exchange_buckets(100 << 20) == 16
     scale.set_scale_hint(500 << 20)  # sf0.1-ish
     assert scale.exchange_buckets() == 16
 
@@ -33,24 +36,38 @@ def test_bucket_count_scales_with_input_size():
     # proportionally larger fan-out
     one_tb = 1 << 40
     want = -(-one_tb // scale.TARGET_EXCHANGE_BYTES)
-    assert scale.exchange_buckets(est_bytes=one_tb) == want == 16384
-    assert scale.exchange_buckets(est_bytes=10 << 30) == 160
+    assert scale.exchange_buckets(one_tb) == want == 16384
+    scale.set_scale_hint(one_tb)  # an exchange resolves from the stamped hint
+    assert scale.resolve() == want
+    assert scale.exchange_buckets(10 << 30) == 160
     # monotone in bytes
     sizes = [1 << 30, 10 << 30, 100 << 30, 1 << 40]
-    got = [scale.exchange_buckets(est_bytes=b) for b in sizes]
+    got = [scale.exchange_buckets(b) for b in sizes]
     assert got == sorted(got) and len(set(got)) == len(got)
 
 
 def test_cap_bounds_metadata():
-    assert scale.exchange_buckets(est_bytes=100 << 40) == scale.MAX_BUCKETS
+    assert scale.exchange_buckets(100 << 40) == scale.MAX_BUCKETS
 
 
-def test_resolve_explicit_wins_and_records():
-    scale.set_scale_hint(1 << 40)
-    assert scale.resolve(7) == 7
-    assert scale.last_resolved == 7
-    assert scale.resolve(None) == 16384
-    assert scale.last_resolved == 16384
+def test_no_public_operator_takes_a_fanout():
+    """Fan-out has one source, ``scale.resolve()``: no public function
+    takes a per-call bucket count or byte estimate. ``joins.bucket_of``
+    is the placement primitive the resolved count is handed to."""
+    offenders = []
+    for info in pkgutil.iter_modules(rayxtract.__path__):
+        mod = importlib.import_module(f"rayxtract.{info.name}")
+        for name, fn in vars(mod).items():
+            if (
+                name.startswith("_")
+                or not inspect.isfunction(fn)
+                or fn.__module__ != mod.__name__
+            ):
+                continue
+            params = set(inspect.signature(fn).parameters)
+            if params & {"n_buckets", "est_bytes"}:
+                offenders.append(f"{info.name}.{name}")
+    assert offenders == ["joins.bucket_of"]
 
 
 def test_hint_from_dir_only_raises(tmp_path):
@@ -59,10 +76,10 @@ def test_hint_from_dir_only_raises(tmp_path):
     (d / "a.parquet").write_bytes(b"x" * 1000)
     scale.set_scale_hint(1 << 40)
     scale.hint_from_dir(str(d))  # smaller — must not clobber
-    assert scale.scale_hint() == 1 << 40
+    assert scale._hint_bytes == 1 << 40
     scale.set_scale_hint(10)
     scale.hint_from_dir(str(d))
-    assert scale.scale_hint() == 1000
+    assert scale._hint_bytes == 1000
 
 
 def test_dir_bytes_counts_nested_parquet(tmp_path):
@@ -74,18 +91,17 @@ def test_dir_bytes_counts_nested_parquet(tmp_path):
     assert scale.dir_bytes(str(tmp_path)) == 30
 
 
-def test_bucketed_join_uses_derived_fanout(ray_session):
+def test_bucketed_join_uses_derived_fanout(ray_session, resolved):
     import ray.data
 
     l = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "a": [1, 2, 3]}))
     r = ray.data.from_pandas(pd.DataFrame({"k2": [2, 3, 4], "b": [5, 6, 7]}))
     scale.set_scale_hint(20 << 30)  # pretend 20 GiB flows through
+    want = scale.exchange_buckets(20 << 30)
+    assert want > 16
     out = bucketed_join(l, r, "k", "k2").to_pandas()
-    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30) > 16
+    assert resolved == [want]
     assert sorted(out["k"]) == [2, 3]
-    # explicit still wins end-to-end
-    bucketed_join(l, r, "k", "k2", n_buckets=4).to_pandas()
-    assert scale.last_resolved == 4
     # the kNN-graph candidate merge derives its fan-out the same way
     from rayxtract.ann import knn_graph_ivf
 
@@ -93,20 +109,21 @@ def test_bucketed_join_uses_derived_fanout(ray_session):
     emb = ray.data.from_pandas(
         pd.DataFrame({"vec_id": np.arange(40), "embedding": list(rng.random((40, 4)))})
     )
+    resolved.clear()
     g = knn_graph_ivf(emb, k=2, n_cells=2, nprobe=2).to_pandas()
-    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert resolved and set(resolved) == {want}
     assert set(g["vec_id"]) == set(range(40))
     # sites that once used a fixed % 16 / % 32 fan-out (the raw query
     # functions: the registry wrapper would re-stamp the hint from sf_dir)
     from rayxtract import queries
 
-    scale.last_resolved = None
+    resolved.clear()
     q2 = queries.q2_cheapest_supplier(SF_DIR).to_pandas()
-    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert resolved and set(resolved) == {want}
     assert len(q2) and q2["p_partkey"].is_unique
-    scale.last_resolved = None
+    resolved.clear()
     words = queries.q_doc_distinct_words(SF_DIR)
-    assert scale.last_resolved == scale.exchange_buckets(est_bytes=20 << 30)
+    assert resolved and set(resolved) == {want}
     assert int(words["n_exact"].iloc[0]) > 0
 
 
@@ -137,7 +154,7 @@ def test_bucket_of_same_in_two_worker_processes(ray_session):
     assert len(np.unique(a)) > 50  # spread, not one hot bucket
 
 
-def test_extraction_resolves_its_own_small_fanout(small_corpus):
+def test_extraction_resolves_its_own_small_fanout(small_corpus, resolved):
     """A small extraction after a big job in the same process sizes its
     winner pass from its OWN pages dir, not the leftover big hint."""
     from rayxtract.ops import ExtractConfig
@@ -145,9 +162,8 @@ def test_extraction_resolves_its_own_small_fanout(small_corpus):
 
     pages_dir, _ = small_corpus
     scale.set_scale_hint(20 << 30)  # a big job ran before in this process
-    scale.last_resolved = None
     extraction_dataset(pages_dir, ExtractConfig())  # runs the winner pass
-    assert scale.last_resolved == scale.MIN_BUCKETS
+    assert resolved == [scale.MIN_BUCKETS]
 
 
 def _rand_tables(rng, n_l=400, n_r=120):

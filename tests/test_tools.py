@@ -77,7 +77,7 @@ def test_dedup_fallback_by_url(ray_session):
         {"url": "u1", "warc_ts": 3, "text_crc": 2, "v": "d"},  # ts tie -> min crc
     ]
     out = (
-        dedup_keep_latest(ray.data.from_items(rows), by_partition=False)
+        dedup_keep_latest(ray.data.from_items(rows))
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
