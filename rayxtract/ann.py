@@ -228,23 +228,15 @@ def _kmeans_init(ds, k: int, seed: int, id_col: str, vec_col: str,
     return mat[idx].copy()
 
 
-def _train_input(ds, pin: bool, id_col: str, vec_col: str):
-    """The (id, vector) input every Lloyd fitter samples and scans.
-
-    ``pin=True`` materializes once up front: the init sample + every Lloyd
-    round would otherwise re-execute the input pipeline once each
-    (~n_iter+1 full re-reads). Pruned to (id, vector) BEFORE pinning so a
-    wide caller dataset never parks its payload columns in the object
-    store. ``pin=False`` for a DISK-BACKED input (a spilled-parquet read):
-    each round then streams from disk instead of holding the table in the
-    object store across rounds — the corpus-scale tradeoff."""
-    from ray.data.dataset import MaterializedDataset
-
-    if pin and not isinstance(ds, MaterializedDataset):
-        return ds.select_columns([id_col, vec_col]).materialize()
-    if not pin:
-        return ds.select_columns([id_col, vec_col])
-    return ds
+def _train_input(ds, id_col: str, vec_col: str):
+    """The (id, vector) input every Lloyd fitter samples and scans: the
+    init sample and every round stream ``ds.select_columns([id, vector])``,
+    so a wide caller dataset never moves its payload columns. The input
+    is pinned only if the caller passes a materialized Dataset (each
+    round then re-reads the object-store blocks); a lazy or disk-backed
+    input (a spilled-parquet read) is re-read from its source per round
+    and never held in the object store across rounds."""
+    return ds.select_columns([id_col, vec_col])
 
 
 def _lloyd(ds, codebooks: list, width: int, n_iter: int, vec_col: str):
@@ -302,7 +294,6 @@ def kmeans_fit(
     seed: int = 13,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    pin: bool = True,
 ):
     """Distributed Lloyd k-means over an embedding column — the standard
     corpus-clustering primitive (topic bucketing, diversity sampling,
@@ -311,13 +302,14 @@ def kmeans_fit(
     The one-subspace case of :func:`_lloyd`: per round one centroid
     broadcast and one (counts[k], sums[k, d], sse) moment summary per
     batch, so driver traffic per round is exactly one moment row.
-    Empty clusters keep their previous centroid. ``pin``: see
-    :func:`_train_input`. Golden-tested against :func:`kmeans_reference`
-    (dense numpy, same init).
+    Empty clusters keep their previous centroid. The input is pinned only
+    if the caller passes a materialized Dataset (:func:`_train_input`).
+    Golden-tested against :func:`kmeans_reference` (dense numpy, same
+    init).
 
     Returns ``(centroids: float64[k, d], inertia: float)``.
     """
-    ds = _train_input(ds, pin, id_col, vec_col)
+    ds = _train_input(ds, id_col, vec_col)
     cents = _kmeans_init(ds, k, seed, id_col, vec_col)
     cbs, inertia = _lloyd(ds, [cents], cents.shape[1], n_iter, vec_col)
     return cbs[0], inertia
@@ -360,11 +352,7 @@ def kmeans_reference(
     x = mat.astype(np.float64)
     inertia = float("nan")
     for _ in range(n_iter):
-        d2 = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * (x @ cents.T)
-            + (cents * cents).sum(axis=1)[None, :]
-        )
+        d2 = _sq_dists(x, cents)
         assign = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(len(x)), assign].sum())
         for c in range(cents.shape[0]):
@@ -408,7 +396,6 @@ def pq_fit_codebooks(
     seed: int = 13,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    pin: bool = False,
 ):
     """Fit ALL ``n_subs`` product-quantization codebooks (Jegou et al.
     2011) with ONE corpus scan per Lloyd round (:func:`_lloyd`): every
@@ -418,10 +405,11 @@ def pq_fit_codebooks(
     8 codebooks cost the same I/O as one (vs 8 independent
     ``kmeans_fit`` calls = 8x the corpus reads). Empty clusters keep
     their previous centroid — the same rule as the dense replay in
-    :func:`pq_reference_codebooks`. ``pin``: see :func:`_train_input`.
+    :func:`pq_reference_codebooks`. The input is pinned only if the
+    caller passes a materialized Dataset (:func:`_train_input`).
 
     Returns a list of ``float64[k, width]`` codebooks."""
-    ds = _train_input(ds, pin, id_col, vec_col)
+    ds = _train_input(ds, id_col, vec_col)
     cbs = pq_init_codebooks(ds, n_subs, width, k, seed, id_col, vec_col)
     return _lloyd(ds, cbs, width, n_iter, vec_col)[0]
 

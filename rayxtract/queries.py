@@ -45,6 +45,19 @@ def _floor_cents(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 100.0).astype("int64")
 
 
+def _md5_u32(strings) -> np.ndarray:
+    """The hash-thresholded samplers' keep hash: the first 32 bits of
+    md5 of each string as an int64 array, bit-equal to
+    ``int(md5(s).hexdigest()[:8], 16)`` (the form the DuckDB oracles
+    compute)."""
+    import hashlib as _hl
+
+    return np.fromiter(
+        (int.from_bytes(_hl.md5(s.encode()).digest()[:4], "big") for s in strings),
+        dtype=np.int64,
+    )
+
+
 # ---------------------------------------------------------------------------
 # TPC-H-shaped relational queries
 
@@ -1398,13 +1411,27 @@ def q_emb_knn_mutual(sf_dir: str):
     )
 
 
+def _quota_limits(n_cell: np.ndarray) -> np.ndarray:
+    """Keep thresholds of the cluster-balanced sampler, indexed by
+    cluster: ``n_cell[c]`` vectors sit in cell ``c``, every cell's quota
+    is (n // 4) // k, and a member of cell ``c`` is kept iff its
+    :func:`_md5_u32` hash is below floor(2^32 * quota / n_cell[c]) (all
+    of it when the quota covers the cell)."""
+    quota = (int(n_cell.sum()) // 4) // _KM_K
+    return np.array(
+        [(1 << 32) if quota >= m else ((1 << 32) * quota) // m
+         for m in n_cell.tolist()],
+        dtype=np.int64,
+    )
+
+
 def q_emb_cluster_sample(sf_dir: str):
     """Cluster-balanced diversity sampling (the per-cluster uniform-quota
     selection SemDeDup/DataComp-style curation runs after clustering:
     every region of the embedding space contributes the SAME number of
     kept vectors, so sparse regions are upsampled relative to density).
-    k-means k=8 cells (the deterministic distributed Lloyd kernel, gated
-    by emb_kmeans_agreement), per-cell member counts from an 8-row
+    The tier's shared k=8 model (:func:`_kmeans_model`, gated by
+    emb_kmeans_agreement), per-cell member counts from an 8-row
     combiner, per-cell quota = (n//4)//8, each member kept iff its
     md5(vec_id) 32-bit hash < floor(2^32 * quota / n_cell) — the same
     deterministic hash-thresholded Bernoulli as doc_temperature_sample
@@ -1414,113 +1441,51 @@ def q_emb_cluster_sample(sf_dir: str):
     emb_cluster_sample_agreement and the balance property is
     unit-tested."""
     from .agg import tree_aggregate
-    from .ann import kmeans_assign, kmeans_fit
+    from .ann import kmeans_assign
 
-    emb = _emb_spilled(sf_dir)
-    cents, _ = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=False)
-    assign = kmeans_assign(emb, cents).drop_columns(["dist2"])
+    assign = kmeans_assign(
+        _emb_spilled(sf_dir), _kmeans_model(sf_dir)
+    ).drop_columns(["dist2"])
     counts = tree_aggregate(
         assign, keys=["cluster"], aggs={"n": ("vec_id", "count")}
     ).to_pandas()
-    n_cell = {int(r["cluster"]): int(r["n"]) for _, r in counts.iterrows()}
-    n = sum(n_cell.values())
-    quota = (n // 4) // 8
-    thr = {
-        c: (1 << 32) if quota >= m else ((1 << 32) * quota) // m
-        for c, m in n_cell.items()
-    }
+    n_cell = np.zeros(_KM_K, dtype=np.int64)
+    n_cell[counts["cluster"].to_numpy(np.int64)] = counts["n"].to_numpy(np.int64)
+    lim = _quota_limits(n_cell)
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
-        import hashlib as _hl
-
-        h = np.fromiter(
-            (
-                int(_hl.md5(str(int(v)).encode()).hexdigest()[:8], 16)
-                for v in batch["vec_id"]
-            ),
-            dtype=np.int64,
-            count=len(batch),
-        )
-        lim = np.fromiter(
-            (thr[int(c)] for c in batch["cluster"]),
-            dtype=np.int64,
-            count=len(batch),
-        )
-        return batch.loc[h < lim, ["vec_id", "cluster"]]
+        h = _md5_u32(batch["vec_id"].astype("int64").astype(str))
+        m = h < lim[batch["cluster"].to_numpy(np.int64)]
+        return batch.loc[m, ["vec_id", "cluster"]]
 
     return assign.map_batches(keep, batch_format="pandas")
 
 
 def q_emb_cluster_sample_agreement(sf_dir: str):
     """Replay gate for the cluster-balanced sampler: the distributed keep
-    set on a capped slice must EXACTLY equal a driver-side dense replay
+    set on the gate slice must EXACTLY equal a driver-side dense replay
     of the same rule (dense assignment from the same deterministic init
-    via kmeans_reference, same quota thresholds, same hashes) — catches
-    partition-dependent selection bugs the way the other *_agreement
-    gates do. Constant COUNT oracle."""
-    import hashlib as _hl
+    via :func:`_kmeans_replay`, same quota thresholds, same hashes) —
+    catches partition-dependent selection bugs the way the other
+    *_agreement gates do. The distributed side assigns with the shared
+    model (:func:`_gate_kmeans`). Constant COUNT oracle."""
+    from .ann import kmeans_assign
 
-    from .ann import _kmeans_init, kmeans_reference
-
-    emb, _n, capped = _gate_slice(_emb_spilled(sf_dir), "vec_id")
-    # distributed side, restricted to the slice for apples-to-apples
-    from .agg import tree_aggregate
-    from .ann import kmeans_assign, kmeans_fit
-
-    cents_d, _ = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=capped)
-    assign_d = kmeans_assign(emb, cents_d).to_pandas().sort_values("vec_id")
-    counts = assign_d.groupby("cluster").size().to_dict()
-    n = len(assign_d)
-    quota = (n // 4) // 8
-    thr = {
-        c: (1 << 32) if quota >= m else ((1 << 32) * quota) // m
-        for c, m in counts.items()
-    }
-    h = np.array(
-        [
-            int(_hl.md5(str(int(v)).encode()).hexdigest()[:8], 16)
-            for v in assign_d["vec_id"]
-        ],
-        dtype=np.int64,
-    )
-    lim_d = np.array(
-        [thr[int(c)] for c in assign_d["cluster"]], dtype=np.int64
-    )
-    keep_d = h < lim_d
-
-    # dense replay from the same deterministic init
-    pdf = emb.to_pandas().sort_values("vec_id")
-    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
-    init = _kmeans_init(emb, 8, 13, "vec_id", "embedding")
-    cents_r, _ = kmeans_reference(mat, init, n_iter=8)
-    d2 = (
-        (mat * mat).sum(axis=1)[:, None]
-        - 2.0 * (mat @ cents_r.T)
-        + (cents_r * cents_r).sum(axis=1)[None, :]
-    )
-    a_r = np.argmin(d2, axis=1)
-    counts_r: dict = {}
-    for c in a_r:
-        counts_r[int(c)] = counts_r.get(int(c), 0) + 1
-    thr_r = {
-        c: (1 << 32) if quota >= m else ((1 << 32) * quota) // m
-        for c, m in counts_r.items()
-    }
-    lim_r = np.array([thr_r[int(c)] for c in a_r], dtype=np.int64)
-    keep_r = h < lim_r
-    # same boundary-tie tolerance as emb_kmeans_agreement: a vector ON a
-    # numerical cluster boundary may legitimately flip cells between the
-    # tree-summed and dense kernels; its keep decision then differs only
-    # via the two cells' thresholds — count it as agreeing.
-    rows = np.arange(len(mat))
-    a_dd = assign_d["cluster"].to_numpy()
-    tie = np.abs(d2[rows, a_dd] - d2[rows, a_r]) <= 1e-9 * (
-        1.0 + np.abs(d2[rows, a_r])
-    )
-    n_agree = int(((keep_d == keep_r) | tie).sum())
+    emb, cents = _gate_kmeans(sf_dir)
+    a_d = (
+        kmeans_assign(emb, cents).to_pandas().sort_values("vec_id")
+    )["cluster"].to_numpy(np.int64)
+    ids, d2, a_r = _kmeans_replay(emb)
+    h = _md5_u32(ids.astype(str))
+    keep_d = h < _quota_limits(np.bincount(a_d, minlength=_KM_K))[a_d]
+    keep_r = h < _quota_limits(np.bincount(a_r, minlength=_KM_K))[a_r]
+    # a vector ON a numerical cluster boundary may legitimately flip
+    # cells between the tree-summed and dense kernels; its keep decision
+    # then differs only via the two cells' thresholds — it agrees.
+    n_agree = int(((keep_d == keep_r) | _tie_agree(d2, a_d, a_r)).sum())
     return pd.DataFrame(
         {
-            "n_vecs": pd.Series([n], dtype="int64"),
+            "n_vecs": pd.Series([len(ids)], dtype="int64"),
             "n_agree": pd.Series([n_agree], dtype="int64"),
         }
     )
@@ -1572,24 +1537,82 @@ def _emb_spilled(sf_dir: str):
     return spill_and_reread(ds, spill)
 
 
+# the k-means model every cluster-family query shares
+_KM_K, _KM_ITER, _KM_SEED = 8, 8, 13
+
+
+def _kmeans_model(sf_dir: str) -> np.ndarray:
+    """The tier's k=8 centroids (float64[8, d]): one distributed Lloyd
+    fit over the spilled embeddings (ann.kmeans_fit), published through
+    :func:`_emb_model` and read back by emb_kmeans, emb_cluster_sample,
+    emb_cluster_medoids, emb_semdedup_prune and their gates."""
+    from .ann import kmeans_fit
+
+    return _emb_model(
+        sf_dir, "kmeans_model",
+        lambda emb: {"kmeans": [
+            kmeans_fit(emb, k=_KM_K, n_iter=_KM_ITER, seed=_KM_SEED)[0]
+        ]},
+    )["kmeans"][0]
+
+
+def _gate_kmeans(sf_dir: str):
+    """(slice, centroids) for the k-means family gates, by the rule
+    emb_pq_agreement uses: at or below ``_AGREE_CAP`` the slice is the
+    whole table and the shared fit IS the slice fit; above it the
+    distributed side refits on the (materialized) slice so both kernels
+    see the same rows."""
+    emb, _n, capped = _gate_slice(_emb_spilled(sf_dir), "vec_id")
+    if not capped:
+        return emb, _kmeans_model(sf_dir)
+    from .ann import kmeans_fit
+
+    return emb, kmeans_fit(emb, k=_KM_K, n_iter=_KM_ITER, seed=_KM_SEED)[0]
+
+
+def _kmeans_replay(emb):
+    """Dense driver replay of the k=8 fit on a gate slice: the
+    vec_id-sorted matrix, ann.kmeans_reference centroids from the SAME
+    deterministic init, the (n, k) squared distances to them and their
+    argmin. Returns (ids, d2, a_r)."""
+    from .ann import _kmeans_init, _sq_dists, kmeans_reference
+
+    pdf = emb.to_pandas().sort_values("vec_id")
+    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
+    init = _kmeans_init(emb, _KM_K, _KM_SEED, "vec_id", "embedding")
+    cents_r, _ = kmeans_reference(mat, init, n_iter=_KM_ITER)
+    d2 = _sq_dists(mat, cents_r)
+    return pdf["vec_id"].to_numpy(np.int64), d2, np.argmin(d2, axis=1)
+
+
+def _tie_agree(d2: np.ndarray, a_d: np.ndarray, a_r: np.ndarray) -> np.ndarray:
+    """Per row: the distributed pick ``a_d`` agrees with the dense pick
+    ``a_r`` up to a numerical tie under the REFERENCE distances ``d2``
+    (|Δd2| <= 1e-9 rel; equal picks always agree). ulp drift between
+    tree-summed distributed moments and the dense reference can flip the
+    argmin of a vector sitting ON a cluster boundary; real kernel
+    divergence moves assignments by far more than a tie."""
+    rows = np.arange(len(d2))
+    return np.abs(d2[rows, a_d] - d2[rows, a_r]) <= 1e-9 * (
+        1.0 + np.abs(d2[rows, a_r])
+    )
+
+
 def q_emb_kmeans(sf_dir: str):
     """Distributed Lloyd k-means (ann.kmeans_fit: per-round centroid
-    broadcast + one pickled moment partial per batch + tree merge) followed
-    by a broadcast nearest-centroid assignment — the corpus-clustering
-    primitive behind topic bucketing / diversity sampling of training
-    data. Output (cluster, n_vecs, min_vec_id): per-cluster sizes with a
+    broadcast + one pickled moment partial per batch + tree merge; the
+    tier's shared model, :func:`_kmeans_model`) followed by a broadcast
+    nearest-centroid assignment — the corpus-clustering primitive behind
+    topic bucketing / diversity sampling of training data. Output
+    (cluster, n_vecs, min_vec_id): per-cluster sizes with a
     deterministic per-cluster witness id. Rows-only — an iterative float
     fixpoint is not SQL-expressible; the distributed kernel is
     golden-tested against a dense numpy Lloyd with identical init
     (tests/test_ann_pca.py)."""
     from .agg import tree_aggregate
-    from .ann import kmeans_assign, kmeans_fit
+    from .ann import kmeans_assign
 
-    # spilled ONCE to disk, re-read lazily by init/rounds/assignment —
-    # multi-pass without pinning the table in the object store
-    emb = _emb_spilled(sf_dir)
-    cents, _inertia = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=False)
-    assigned = kmeans_assign(emb, cents)
+    assigned = kmeans_assign(_emb_spilled(sf_dir), _kmeans_model(sf_dir))
     return tree_aggregate(
         assigned,
         keys=["cluster"],
@@ -1597,45 +1620,47 @@ def q_emb_kmeans(sf_dir: str):
     )
 
 
-def q_emb_cluster_medoids(sf_dir: str):
-    """SemDeDup-style diversity selection (Abbas et al. 2023 shape): k-means
-    cluster the embedding space, then keep each cluster's 3 most-central
-    vectors — the per-cluster representatives a semantic-dedup /
-    diversity-sampling pass retains. Composition: ann.kmeans_fit +
-    kmeans_assign + the grouped-top-k combiner on (dist2 asc, vec_id asc).
-    Rows-only (k-means fixpoint upstream); the kmeans kernel itself is
-    golden-tested and the grouped-top-k pattern is oracle-checked
-    elsewhere (doc_grouped_topk)."""
-    from .ann import kmeans_assign, kmeans_fit
-    from .curation import stratified_sample
-
-    emb = _emb_spilled(sf_dir)
-    cents, _ = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=False)
-    assigned = kmeans_assign(emb, cents)
+def _medoid_keys(assigned):
+    """(vec_id, cluster, dist2_micro) rows of a kmeans_assign output —
+    the micro-rounded distance keeps the medoid output hash float-free."""
 
     def keyed(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "vec_id": batch["vec_id"].astype("int64").values,
                 "cluster": batch["cluster"].astype("int64").values,
-                # micro-rounded distance keeps the output hash float-free
                 "dist2_micro": np.rint(
                     batch["dist2"].astype("float64") * 1e6
                 ).astype("int64"),
             }
         )
 
-    keyed_ds = assigned.map_batches(keyed, batch_format="pandas")
-    return stratified_sample(
-        keyed_ds, "cluster", ["dist2_micro", "vec_id"], k=3
+    return assigned.map_batches(keyed, batch_format="pandas")
+
+
+def q_emb_cluster_medoids(sf_dir: str):
+    """SemDeDup-style diversity selection (Abbas et al. 2023 shape): k-means
+    cluster the embedding space, then keep each cluster's 3 most-central
+    vectors — the per-cluster representatives a semantic-dedup /
+    diversity-sampling pass retains. Composition: the tier's shared
+    model (:func:`_kmeans_model`) + kmeans_assign + the grouped-top-k
+    combiner on (dist2 asc, vec_id asc). Rows-only (k-means fixpoint
+    upstream); the kmeans kernel itself is golden-tested and the
+    grouped-top-k pattern is oracle-checked elsewhere
+    (doc_grouped_topk)."""
+    from .ann import kmeans_assign
+    from .curation import stratified_sample
+
+    keyed = _medoid_keys(
+        kmeans_assign(_emb_spilled(sf_dir), _kmeans_model(sf_dir))
     )
+    return stratified_sample(keyed, "cluster", ["dist2_micro", "vec_id"], k=3)
 
 
 _SEMDEDUP_TAU_MILLI = 300  # testdata embeddings are centered uniforms
                            # (max pairwise cos ~0.48): 0.30 exercises the
                            # prune non-trivially, same rationale as the
                            # emb_neardup LSH threshold
-_SEMDEDUP_K = 8
 _SEMDEDUP_GROUP_CAP = 20_000  # pairwise blocks cap; oversized clusters
                               # sub-bucket deterministically (recall
                               # tradeoff documented in the docstring)
@@ -1660,23 +1685,20 @@ def _semdedup_keep(mat: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _semdedup_prune_ds(emb, pin: bool):
+def _semdedup_prune_ds(emb, cents: np.ndarray):
     """Distributed SemDeDup prune (Abbas et al. 2023, arXiv:2303.09540
-    shape): k-means the embedding space, then WITHIN each cluster drop
-    every vector a smaller-id member covers at cosine >= tau. One
-    centroid broadcast + one cluster-keyed exchange; pairwise work is
-    bounded by the cluster, and clusters beyond ``_SEMDEDUP_GROUP_CAP``
-    sub-bucket deterministically by vec_id hash (within-sub-bucket
-    prune only — the same within-cluster-only recall concession SemDeDup
-    itself makes, one level deeper). At corpus scale k grows with the
-    corpus so clusters stay bounded. Returns (vec_id, cluster, keep)."""
-    import hashlib as _hl
-
+    shape): assign every vector to its nearest of ``cents``, then WITHIN
+    each cluster drop every vector a smaller-id member covers at cosine
+    >= tau. One centroid broadcast + one cluster-keyed exchange;
+    pairwise work is bounded by the cluster, and clusters beyond
+    ``_SEMDEDUP_GROUP_CAP`` sub-bucket deterministically by vec_id hash
+    (within-sub-bucket prune only — the same within-cluster-only recall
+    concession SemDeDup itself makes, one level deeper). Returns
+    (vec_id, cluster, keep)."""
     import ray as _ray
 
-    from .ann import _sq_dists, kmeans_fit
+    from .ann import _sq_dists
 
-    cents, _ = kmeans_fit(emb, k=_SEMDEDUP_K, n_iter=8, seed=13, pin=pin)
     ref = _ray.put(np.asarray(cents, dtype=np.float64))
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1695,15 +1717,7 @@ def _semdedup_prune_ds(emb, pin: bool):
         ids = group["vec_id"].to_numpy(dtype=np.int64)
         mat = np.stack(group["embedding"].to_numpy())
         if len(ids) > _SEMDEDUP_GROUP_CAP:
-            sub = np.fromiter(
-                (
-                    int(_hl.md5(str(i).encode()).hexdigest()[:8], 16)
-                    % -(-len(ids) // _SEMDEDUP_GROUP_CAP)
-                    for i in ids
-                ),
-                dtype=np.int64,
-                count=len(ids),
-            )
+            sub = _md5_u32(ids.astype(str)) % -(-len(ids) // _SEMDEDUP_GROUP_CAP)
             keep = np.empty(len(ids), dtype=bool)
             for b in np.unique(sub):
                 m = sub == b
@@ -1728,40 +1742,34 @@ def _semdedup_prune_ds(emb, pin: bool):
 def q_emb_semdedup_prune(sf_dir: str):
     """SemDeDup semantic dedup PRUNE (the keep/drop decision per vector,
     completing the medoid-selection query's family): see
-    :func:`_semdedup_prune_ds`. Rows-only by nature (k-means fixpoint +
+    :func:`_semdedup_prune_ds`, over the tier's shared k=8 model
+    (:func:`_kmeans_model`). Rows-only by nature (k-means fixpoint +
     float cosine upstream); gated by ``emb_semdedup_agreement`` — the
     distributed prune must agree TOTALLY with a dense driver replay on
     the same (capped) slice."""
-    return _semdedup_prune_ds(_emb_spilled(sf_dir), pin=False)
+    return _semdedup_prune_ds(_emb_spilled(sf_dir), _kmeans_model(sf_dir))
 
 
 def q_emb_semdedup_agreement(sf_dir: str):
     """Driver-oracle SELF-GATE for the SemDeDup prune (the fixpoint-gate
     pattern): the distributed cluster-keyed prune and a dense driver
-    replay (same centroids, same kernel, one matrix) run on the same
-    deterministically capped slice; the oracle demands TOTAL per-vector
-    keep agreement. VALIDATION query — the dense side gathers by
-    design."""
-    from .ann import kmeans_fit
+    replay (same centroids — the shared model, :func:`_gate_kmeans` —
+    same kernel, one matrix) run on the same deterministically capped
+    slice; the oracle demands TOTAL per-vector keep agreement.
+    VALIDATION query — the dense side gathers by design."""
+    from .ann import _sq_dists
 
-    emb, _n, capped = _gate_slice(_emb_spilled(sf_dir), "vec_id")
+    emb, cents = _gate_kmeans(sf_dir)
     dist = (
-        _semdedup_prune_ds(emb, pin=capped)
+        _semdedup_prune_ds(emb, cents)
         .to_pandas()
         .sort_values("vec_id")
         .reset_index(drop=True)
     )
-    cents, _ = kmeans_fit(emb, k=_SEMDEDUP_K, n_iter=8, seed=13, pin=capped)
-    c = np.asarray(cents, dtype=np.float64)
     pdf = emb.to_pandas().sort_values("vec_id").reset_index(drop=True)
     x = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
     ids = pdf["vec_id"].to_numpy(dtype=np.int64)
-    d2 = (
-        (x * x).sum(axis=1)[:, None]
-        - 2.0 * (x @ c.T)
-        + (c * c).sum(axis=1)[None, :]
-    )
-    asg = np.argmin(d2, axis=1)
+    asg = np.argmin(_sq_dists(x, np.asarray(cents, dtype=np.float64)), axis=1)
     keep_ref = np.empty(len(ids), dtype=bool)
     for k in np.unique(asg):
         m = asg == k
@@ -1798,14 +1806,18 @@ _IVFPQ_FLOOR = 7  # recall floor the gate demands: >= 7 of top-10
 _AGREE_CAP = 20_000
 
 
-def _gate_slice(ds, id_col: str, cap: int = _AGREE_CAP):
+def _gate_slice(ds, id_col: str, cap: int = _AGREE_CAP, seed: int = 101,
+                parts: int = 4):
     """Bound a validation gate's input: if the table exceeds ``cap``
     rows, BOTH kernels (distributed and dense reference) run on the
-    same deterministic md5-ranked slice (ann._hash_sample — block-layout
-    independent), so the comparison stays apples-to-apples. The gate
-    then validates kernel equivalence at cap scale instead of corpus
-    scale — the property under test (the distributed kernel computes
-    the dense fixpoint) is scale-free. Returns (ds, n_rows, capped)."""
+    same deterministic md5(seed:id)-ranked slice (ann._hash_sample —
+    block-layout independent), so the comparison stays apples-to-apples.
+    The gate then validates kernel equivalence at cap scale instead of
+    corpus scale — the property under test (the distributed kernel
+    computes the dense fixpoint) is scale-free. The slice comes back
+    materialized in ``parts`` blocks, so the gate's multi-pass kernels
+    read it from the object store; columns named ``__*`` (derived keys)
+    are dropped from it. Returns (ds, n_rows, capped)."""
     n = int(ds.count())
     if n <= cap:
         return ds, n, False
@@ -1813,10 +1825,10 @@ def _gate_slice(ds, id_col: str, cap: int = _AGREE_CAP):
 
     from .ann import _hash_sample
 
-    cols = list(ds.schema().names)
-    rows = _hash_sample(ds, cap, 101, id_col, cols)
-    pdf = pd.DataFrame(rows).drop(columns=["__r"]).reset_index(drop=True)
-    return ray.data.from_pandas(pdf).repartition(4), len(pdf), True
+    rows = _hash_sample(ds, cap, seed, id_col, list(ds.schema().names))
+    pdf = pd.DataFrame(rows)
+    pdf = pdf[[c for c in pdf.columns if not c.startswith("__")]]
+    return ray.data.from_pandas(pdf).repartition(parts).materialize(), len(pdf), True
 
 
 # graph validation gates gather an edge list; 4M edges (~400 MB pandas)
@@ -1826,35 +1838,22 @@ _AGREE_EDGE_CAP = 4_000_000
 
 
 def _gate_slice_edges(edges, cap: int = _AGREE_EDGE_CAP):
-    """Edge-table counterpart of :func:`_gate_slice`: above the cap both
-    kernels (distributed rounds and the dense reference) run on the same
-    md5-ranked edge slice — an edge-induced subgraph chosen
-    deterministically and independent of block layout. Returns
-    (edges_ds, n_edges, capped)."""
-    n = int(edges.count())
-    if n <= cap:
-        return edges, n, False
-    import ray.data
-
-    from .ann import _hash_sample
-
-    cols = list(edges.schema().names)
+    """Edge-table counterpart of :func:`_gate_slice`, keyed on a derived
+    ``src_url|dst_url`` edge id: above the cap both kernels (distributed
+    rounds and the dense reference) run on the same md5-ranked edge
+    slice — an edge-induced subgraph chosen deterministically and
+    independent of block layout. Returns (edges_ds, n_edges, capped)."""
 
     def keyed(b: pd.DataFrame) -> pd.DataFrame:
         return b.assign(
             __eid=b["src_url"].astype(str) + "|" + b["dst_url"].astype(str)
         )
 
-    rows = _hash_sample(
-        edges.map_batches(keyed, batch_format="pandas"), cap, 103,
-        "__eid", cols + ["__eid"],
+    out, n, capped = _gate_slice(
+        edges.map_batches(keyed, batch_format="pandas"), "__eid", cap,
+        seed=103, parts=8,
     )
-    pdf = (
-        pd.DataFrame(rows)
-        .drop(columns=["__r", "__eid"])
-        .reset_index(drop=True)
-    )
-    return ray.data.from_pandas(pdf).repartition(8), len(pdf), True
+    return (out if capped else edges), n, capped
 
 
 def _publish_model(model: dict, spill_dir: str) -> None:
@@ -1903,21 +1902,32 @@ def _read_model(spill_dir: str) -> dict:
     return out
 
 
+def _emb_model(sf_dir: str, op: str, fit) -> dict:
+    """A model fit ONCE per tier and shared through its artifact:
+    ``fit(emb)`` runs over the spilled embeddings (:func:`_emb_spilled`)
+    and returns a dict of centroid-array lists (:func:`_publish_model`);
+    every call reads the published copy back (:func:`_read_model`), so a
+    cache hit is bit-identical to the fresh fit."""
+    spill = _emb_artifact(sf_dir, op)
+    if not published(spill):
+        _publish_model(fit(_emb_spilled(sf_dir)), spill)
+    return _read_model(spill)
+
+
 def _pq_model_cached(sf_dir: str) -> list:
     """The production-width PQ codebooks for this corpus tier, fit ONCE
     (all 8 subspaces jointly — one corpus scan per Lloyd round,
     ann.pq_fit_codebooks) and shared by emb_pq_codes / emb_pq_agreement
-    / emb_pq_adc_recall via the model spill."""
-    spill = _emb_artifact(sf_dir, "pq_model")
-    if not published(spill):
-        from .ann import pq_fit_codebooks
+    / emb_pq_adc_recall via :func:`_emb_model`."""
+    from .ann import pq_fit_codebooks
 
-        cbs = pq_fit_codebooks(
-            _emb_spilled(sf_dir), n_subs=_PQ_SUBS, width=_PQ_WIDTH,
-            k=_PQ_K, n_iter=_PQ_ITER, seed=13, pin=False,
-        )
-        _publish_model({"pq": cbs}, spill)
-    return _read_model(spill)["pq"]
+    return _emb_model(
+        sf_dir, "pq_model",
+        lambda emb: {"pq": pq_fit_codebooks(
+            emb, n_subs=_PQ_SUBS, width=_PQ_WIDTH, k=_PQ_K,
+            n_iter=_PQ_ITER, seed=13,
+        )},
+    )["pq"]
 
 
 def _ivfpq_model_cached(sf_dir: str):
@@ -1925,23 +1935,20 @@ def _ivfpq_model_cached(sf_dir: str):
     quantizer over the full vectors plus RESIDUAL PQ codebooks (codes
     quantize x - coarse[cell], which carries far less variance than x
     itself — the composition that makes billion-vector ADC usable).
-    Both fits run distributed over the spilled table and publish to one
-    model spill. Returns (coarse: float64[cells, d], codebooks)."""
-    spill = _emb_artifact(sf_dir, "ivfpq_model")
-    if not published(spill):
-        from .ann import kmeans_fit, pq_fit_codebooks
+    Both fits run distributed over the spilled table and publish as one
+    model (:func:`_emb_model`). Returns (coarse: float64[cells, d],
+    codebooks)."""
+    from .ann import kmeans_fit, pq_fit_codebooks
 
-        emb = _emb_spilled(sf_dir)
-        coarse, _ = kmeans_fit(
-            emb, k=_IVF_CELLS, n_iter=8, seed=17, pin=False
-        )
+    def fit(emb) -> dict:
+        coarse, _ = kmeans_fit(emb, k=_IVF_CELLS, n_iter=8, seed=17)
         cbs = pq_fit_codebooks(
             _ivf_residual_ds(emb, coarse), n_subs=_PQ_SUBS,
             width=_PQ_WIDTH, k=_PQ_K, n_iter=_PQ_ITER, seed=29,
-            pin=False,
         )
-        _publish_model({"coarse": [coarse], "pq": cbs}, spill)
-    m = _read_model(spill)
+        return {"coarse": [coarse], "pq": cbs}
+
+    m = _emb_model(sf_dir, "ivfpq_model", fit)
     return m["coarse"][0], m["pq"]
 
 
@@ -2019,6 +2026,7 @@ def q_emb_pq_agreement(sf_dir: str):
     the matrix by design, bounded by the _gate_slice cap so the gate
     stays runnable at any corpus tier."""
     from .ann import (
+        _sq_dists,
         pq_encode,
         pq_fit_codebooks,
         pq_init_codebooks,
@@ -2034,7 +2042,7 @@ def q_emb_pq_agreement(sf_dir: str):
     if capped:
         cbs_d = pq_fit_codebooks(
             emb, n_subs=_PQ_SUBS, width=_PQ_WIDTH, k=_PQ_K,
-            n_iter=_PQ_ITER, seed=13, pin=True,
+            n_iter=_PQ_ITER, seed=13,
         )
     else:
         cbs_d = _pq_model_cached(sf_dir)
@@ -2048,20 +2056,9 @@ def q_emb_pq_agreement(sf_dir: str):
     refs = pq_reference_codebooks(mat, init, _PQ_WIDTH, n_iter=_PQ_ITER)
     agree = np.ones(n, dtype=bool)
     for s in range(_PQ_SUBS):
-        xs = mat[:, s * _PQ_WIDTH : (s + 1) * _PQ_WIDTH]
-        cents_r = refs[s]
-        d2 = (
-            (xs * xs).sum(axis=1)[:, None]
-            - 2.0 * (xs @ cents_r.T)
-            + (cents_r * cents_r).sum(axis=1)[None, :]
-        )
-        a_r = np.argmin(d2, axis=1)
+        d2 = _sq_dists(mat[:, s * _PQ_WIDTH : (s + 1) * _PQ_WIDTH], refs[s])
         a_d = (dist_codes >> np.int64(8 * s)) & 0xFF
-        rows = np.arange(n)
-        tie = np.abs(d2[rows, a_d] - d2[rows, a_r]) <= 1e-9 * (
-            1.0 + np.abs(d2[rows, a_r])
-        )
-        agree &= (a_d == a_r) | tie
+        agree &= _tie_agree(d2, a_d, np.argmin(d2, axis=1))
     return pd.DataFrame(
         {"n_vecs": pd.Series([n], dtype="int64"),
          "n_agree": pd.Series([int(agree.sum())], dtype="int64")}
@@ -2341,43 +2338,25 @@ def q_emb_ivfpq_recall(sf_dir: str):
 
 def q_emb_kmeans_agreement(sf_dir: str):
     """Driver-oracle SELF-GATE for the kmeans fixpoint (VERDICT r3 next
-    #4, the IVF-recall pattern): the distributed Lloyd kernel and the
-    dense numpy kmeans_reference run from the SAME deterministic init on
-    the same table; the row is the integer per-vector assignment
-    agreement, and the oracle demands it be TOTAL. VALIDATION query by
-    design: the dense baseline gathers the matrix driver-side (that is
-    what makes it a reference); the distributed side stays distributed."""
-    from .ann import _kmeans_init, kmeans_assign, kmeans_fit, kmeans_reference
+    #4, the IVF-recall pattern): the distributed Lloyd fit (the shared
+    model, :func:`_gate_kmeans`) and the dense numpy kmeans_reference
+    (:func:`_kmeans_replay`) run from the SAME deterministic init on the
+    same table; the row is the integer per-vector assignment agreement
+    (boundary ties tolerated, :func:`_tie_agree`), and the oracle
+    demands it be TOTAL. VALIDATION query by design: the dense baseline
+    gathers the matrix driver-side (that is what makes it a reference);
+    the distributed side stays distributed."""
+    from .ann import kmeans_assign
 
-    emb, _n, capped = _gate_slice(_emb_spilled(sf_dir), "vec_id")
-    cents_d, _ = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=capped)
+    emb, cents = _gate_kmeans(sf_dir)
     a_d = (
-        kmeans_assign(emb, cents_d).to_pandas().sort_values("vec_id")
-    )
-    pdf = emb.to_pandas().sort_values("vec_id")
-    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
-    init = _kmeans_init(emb, 8, 13, "vec_id", "embedding")
-    cents_r, _ = kmeans_reference(mat, init, n_iter=8)
-    d2 = (
-        (mat * mat).sum(axis=1)[:, None]
-        - 2.0 * (mat @ cents_r.T)
-        + (cents_r * cents_r).sum(axis=1)[None, :]
-    )
-    a_r = np.argmin(d2, axis=1)
-    a_dd = a_d["cluster"].to_numpy()
-    # ulp drift between the tree-summed distributed moments and the dense
-    # reference can flip the argmin of a vector sitting numerically ON a
-    # cluster boundary — count it as agreement when the two choices are a
-    # numerical tie under the REFERENCE centroids (|Δd2| <= 1e-9 rel).
-    # Real kernel divergence moves assignments by far more than a tie.
-    rows = np.arange(len(mat))
-    tie = np.abs(d2[rows, a_dd] - d2[rows, a_r]) <= 1e-9 * (
-        1.0 + np.abs(d2[rows, a_r])
-    )
-    n_agree = int(((a_dd == a_r) | tie).sum())
+        kmeans_assign(emb, cents).to_pandas().sort_values("vec_id")
+    )["cluster"].to_numpy(np.int64)
+    ids, d2, a_r = _kmeans_replay(emb)
     return pd.DataFrame(
-        {"n_vecs": pd.Series([len(pdf)], dtype="int64"),
-         "n_agree": pd.Series([n_agree], dtype="int64")}
+        {"n_vecs": pd.Series([len(ids)], dtype="int64"),
+         "n_agree": pd.Series(
+             [int(_tie_agree(d2, a_d, a_r).sum())], dtype="int64")}
     )
 
 
@@ -2419,27 +2398,14 @@ def q_emb_medoids_agreement(sf_dir: str):
     grouped-top-k (stratified_sample on (dist2_micro, vec_id)) must pick
     exactly the medoid set a driver-side pandas sort picks from the same
     assignment table. Oracle: |selected ∩ reference| == 3*k (k=8 clusters,
-    all non-empty on these corpora). VALIDATION query — the reference
-    side gathers the (id, cluster, dist2) table by design."""
-    from .ann import kmeans_assign, kmeans_fit
+    all non-empty on these corpora), assigned by the shared model
+    (:func:`_gate_kmeans`). VALIDATION query — the reference side
+    gathers the (id, cluster, dist2) table by design."""
+    from .ann import kmeans_assign
     from .curation import stratified_sample
 
-    emb, _n, capped = _gate_slice(_emb_spilled(sf_dir), "vec_id")
-    cents, _ = kmeans_fit(emb, k=8, n_iter=8, seed=13, pin=capped)
-    assigned = kmeans_assign(emb, cents)
-
-    def keyed(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "vec_id": batch["vec_id"].astype("int64").values,
-                "cluster": batch["cluster"].astype("int64").values,
-                "dist2_micro": np.rint(
-                    batch["dist2"].astype("float64") * 1e6
-                ).astype("int64"),
-            }
-        )
-
-    keyed_ds = assigned.map_batches(keyed, batch_format="pandas").materialize()
+    emb, cents = _gate_kmeans(sf_dir)
+    keyed_ds = _medoid_keys(kmeans_assign(emb, cents)).materialize()
     got = stratified_sample(
         keyed_ds, "cluster", ["dist2_micro", "vec_id"], k=3
     ).to_pandas()
@@ -3229,6 +3195,17 @@ def q_pages_pagerank(sf_dir: str):
     )
 
 
+def _top20_urls(df: pd.DataFrame, col: str) -> set:
+    """The graph gates' cut: the 20 urls with the highest ``col`` score
+    after nano-unit rounding, url ascending on ties — the same set rule
+    on the distributed and the dense side."""
+    d = df[["url"]].assign(
+        nano=np.rint(df[col].astype("float64") * 1e9).astype("int64")
+    )
+    d = d.sort_values(["nano", "url"], ascending=[False, True], kind="mergesort")
+    return set(d["url"].head(20))
+
+
 def q_pages_pagerank_agreement(sf_dir: str):
     """Self-gate for the PageRank fixpoint: the DISTRIBUTED Dataset-round
     kernel (driver_threshold=0 forces it past the dense shortcut) and the
@@ -3250,18 +3227,7 @@ def q_pages_pagerank_agreement(sf_dir: str):
     ref = pagerank_reference(
         edges.to_pandas(), damping=0.85, n_iter=3, weight_col="n_links"
     )
-
-    def top20(df: pd.DataFrame) -> set:
-        d = df.copy()
-        d["rank_micro"] = np.rint(d["rank"].astype("float64") * 1e9).astype(
-            "int64"
-        )
-        d = d.sort_values(
-            ["rank_micro", "url"], ascending=[False, True], kind="mergesort"
-        )
-        return set(d["url"].head(20))
-
-    n_agree = len(top20(dist) & top20(ref))
+    n_agree = len(_top20_urls(dist, "rank") & _top20_urls(ref, "rank"))
     return pd.DataFrame(
         {"k": pd.Series([20], dtype="int64"),
          "n_agree": pd.Series([n_agree], dtype="int64")}
@@ -3351,18 +3317,7 @@ def q_pages_ppr_agreement(sf_dir: str):
         edges.to_pandas(), damping=0.85, n_iter=3, weight_col="n_links",
         seeds=seeds,
     )
-
-    def top20(df: pd.DataFrame) -> set:
-        d = df.copy()
-        d["rank_nano"] = np.rint(d["rank"].astype("float64") * 1e9).astype(
-            "int64"
-        )
-        d = d.sort_values(
-            ["rank_nano", "url"], ascending=[False, True], kind="mergesort"
-        )
-        return set(d["url"].head(20))
-
-    n_agree = len(top20(dist) & top20(ref))
+    n_agree = len(_top20_urls(dist, "rank") & _top20_urls(ref, "rank"))
     return pd.DataFrame(
         {"k": pd.Series([20], dtype="int64"),
          "n_agree": pd.Series([n_agree], dtype="int64")}
@@ -3434,17 +3389,8 @@ def q_pages_hits_agreement(sf_dir: str):
     edges = edges.materialize()
     dist = hits(edges, n_iter=3, driver_threshold=0).to_pandas()
     ref = hits_reference(edges.to_pandas(), n_iter=3)
-
-    def top20(df: pd.DataFrame, col: str) -> set:
-        d = df.copy()
-        d["nano"] = np.rint(d[col].astype("float64") * 1e9).astype("int64")
-        d = d.sort_values(
-            ["nano", "url"], ascending=[False, True], kind="mergesort"
-        )
-        return set(d["url"].head(20))
-
-    n_auth = len(top20(dist, "auth") & top20(ref, "auth"))
-    n_hub = len(top20(dist, "hub") & top20(ref, "hub"))
+    n_auth = len(_top20_urls(dist, "auth") & _top20_urls(ref, "auth"))
+    n_hub = len(_top20_urls(dist, "hub") & _top20_urls(ref, "hub"))
     return pd.DataFrame(
         {
             "k": pd.Series([20], dtype="int64"),
@@ -7700,16 +7646,7 @@ def q_doc_temperature_sample(sf_dir: str):
         thr[lang] = (1 << 32) if quota >= t else ((1 << 32) * quota) // t
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
-        import hashlib as _hl
-
-        h = np.fromiter(
-            (
-                int(_hl.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-                for t in batch["text"]
-            ),
-            dtype=np.int64,
-            count=len(batch),
-        )
+        h = _md5_u32(batch["text"])
         lim = np.fromiter(
             (thr[l] for l in batch["lang"]), dtype=np.int64, count=len(batch)
         )
@@ -8133,19 +8070,11 @@ def q_doc_mix_sources(sf_dir: str):
     target mixture rates): keep a doc iff the md5-derived 32-bit uniform
     of (doc_id, lang) falls under the lang's integer weight — seedable,
     resumable (no RNG state), embarrassingly parallel."""
-    import hashlib as _hl
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
         ids = batch["doc_id"].astype("int64").tolist()
         langs = batch["lang"].tolist()
-        u = np.fromiter(
-            (
-                int(_hl.md5(f"{i}:{l}".encode()).hexdigest()[:8], 16)
-                for i, l in zip(ids, langs)
-            ),
-            dtype=np.int64,
-            count=len(ids),
-        )
+        u = _md5_u32(f"{i}:{l}" for i, l in zip(ids, langs))
         w = np.fromiter(
             (MIX_W256.get(l, MIX_W256_DEFAULT) for l in langs),
             dtype=np.int64,

@@ -126,6 +126,7 @@ def test_semdedup_prune_planted(ray_session):
     import numpy as np
     import ray.data
 
+    from rayxtract.ann import kmeans_fit
     from rayxtract.queries import _semdedup_keep, _semdedup_prune_ds
 
     rng = np.random.default_rng(5)
@@ -140,8 +141,10 @@ def test_semdedup_prune_planted(ray_session):
         rows.append(
             {"vec_id": 100 + i, "embedding": rng.normal(size=64) * 3.0}
         )
+    ds = ray.data.from_items(rows)
+    cents, _ = kmeans_fit(ds, k=8, n_iter=8, seed=13)
     out = (
-        _semdedup_prune_ds(ray.data.from_items(rows), pin=True)
+        _semdedup_prune_ds(ds, cents)
         .to_pandas()
         .set_index("vec_id")["keep"]
     )
@@ -270,3 +273,28 @@ def test_empty_input_fails_loudly_or_returns_empty(ray_session, fit):
     match = "at least 2 vectors" if fit == "pca_fit" else "no vectors"
     with pytest.raises(ValueError, match=match):
         getattr(ann, fit)(empty)
+
+
+def test_capped_gates_refit_on_the_slice(ray_session, monkeypatch):
+    """Above the cap the k-means family gates and the PQ gate refit on
+    the materialized md5-ranked slice instead of reading the shared
+    model, and both kernels still agree on every sliced vector."""
+    from rayxtract import queries
+
+    real = queries._gate_slice
+
+    def small_cap(ds, id_col, cap=300, **kw):
+        out, n, capped = real(ds, id_col, cap, **kw)
+        assert capped and n == 300 and type(out).__name__ == "MaterializedDataset"
+        return out, n, capped
+
+    monkeypatch.setattr(queries, "_gate_slice", small_cap)
+    model = []
+    monkeypatch.setattr(queries, "_kmeans_model", lambda sf: model.append(sf))
+    for name in ("emb_kmeans_agreement", "emb_cluster_sample_agreement",
+                 "emb_semdedup_agreement", "emb_pq_agreement"):
+        row = queries.QUERIES[name](SF_DIR).iloc[0]
+        assert row["n_vecs"] == row["n_agree"] == 300, name
+    row = queries.QUERIES["emb_medoids_agreement"](SF_DIR).iloc[0]
+    assert row["n_vecs"] == 300 and row["n_disagree"] == 0
+    assert model == []

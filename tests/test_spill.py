@@ -244,3 +244,57 @@ def test_emb_spill_serves_identical_table(ray_session):
     pd.testing.assert_frame_equal(
         cold.reset_index(drop=True), warm.reset_index(drop=True)
     )
+
+
+KMEANS_FAMILY = [
+    "emb_cluster_sample", "emb_kmeans", "emb_cluster_medoids",
+    "emb_semdedup_prune", "emb_cluster_sample_agreement",
+    "emb_kmeans_agreement", "emb_medoids_agreement", "emb_semdedup_agreement",
+]
+
+
+def test_kmeans_family_fits_once(ray_session, tmp_path, monkeypatch):
+    """The eight k-means family queries share one k=8 fit per tier: from
+    an empty cache, exactly one Lloyd run over one 8-centroid codebook
+    serves them all, and every gate still reports total agreement."""
+    import ray.data
+
+    from rayxtract import ann, synth
+    from rayxtract.queries import QUERIES
+
+    monkeypatch.setattr(synth, "_CACHE_ROOT", str(tmp_path / "cache"))
+    fits = []
+    real = ann._lloyd
+
+    def spy(ds, codebooks, width, n_iter, vec_col):
+        if len(codebooks) == 1 and codebooks[0].shape[0] == 8:
+            fits.append(n_iter)
+        return real(ds, codebooks, width, n_iter, vec_col)
+
+    monkeypatch.setattr(ann, "_lloyd", spy)
+    out = {}
+    for name in KMEANS_FAMILY:
+        r = QUERIES[name](SF_DIR)
+        out[name] = r.to_pandas() if isinstance(r, ray.data.Dataset) else r
+    assert fits == [8]
+    for gate in ("emb_cluster_sample_agreement", "emb_kmeans_agreement",
+                 "emb_semdedup_agreement"):
+        row = out[gate].iloc[0]
+        assert row["n_agree"] == row["n_vecs"] == 500, gate
+    assert out["emb_medoids_agreement"].iloc[0]["n_disagree"] == 0
+    assert out["emb_kmeans"]["n_vecs"].sum() == 500
+
+
+def test_kmeans_model_cache_is_bit_identical(ray_session, tmp_path, monkeypatch):
+    """The shared k-means model read back from its artifact equals a
+    fresh kmeans_fit on the same input bit for bit, cold and warm."""
+    from rayxtract import synth
+    from rayxtract.ann import kmeans_fit
+    from rayxtract.queries import _emb_spilled, _kmeans_model
+
+    monkeypatch.setattr(synth, "_CACHE_ROOT", str(tmp_path / "cache"))
+    cold = _kmeans_model(SF_DIR)
+    warm = _kmeans_model(SF_DIR)
+    fresh, _ = kmeans_fit(_emb_spilled(SF_DIR), k=8, n_iter=8, seed=13)
+    assert cold.dtype == fresh.dtype == np.float64
+    assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
