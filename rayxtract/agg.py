@@ -14,10 +14,18 @@ classic combiner tree, in two forms:
 When the result is corpus-sized (e.g. dedup by content hash) the shuffle
 is the honest cost and no combiner can help: :func:`exchange` is the one
 keyed hash exchange every such operator goes through (bucket placement by
-``joins.bucket_of``, fan-out by ``scale.resolve``), the LSH band buckets
-and pair dedup of ``neardup`` and the bucketed, interval and as-of joins
-of ``joins`` included, and :func:`bucketed_aggregate` is the
-combiner-then-exchange aggregate built on it.
+``joins.bucket_of``, fan-out by ``scale.resolve``), and
+:func:`bucketed_aggregate` is the combiner-then-exchange aggregate built
+on it. Its users include the LSH band buckets, pair dedup, exact dedup,
+min-label propagation and prefix-filter stages of ``neardup``; the
+bucketed, interval and as-of joins of ``joins``; ``dedup``'s keep-latest
+and dup-span packing; the node tables of ``graph``'s PageRank and HITS;
+``curation``'s stratified sample and paragraph/line reassembly; and the
+final top-k of ``ann``'s k-NN searches. Every per-key grouping whose key
+count grows with the data runs here, never as Ray's own per-key
+``groupby(key)``, whose cost grows with the number of distinct keys
+against a flat cost per bucket here (ROADMAP item 4 has the
+measurements).
 """
 
 from __future__ import annotations
@@ -154,7 +162,9 @@ def exchange(ds, key, per_bucket):
     bucket, and ``per_bucket(frame) -> frame`` runs once per non-empty
     bucket on a pandas frame of that bucket's rows. ``per_bucket`` must be
     key-local: it sees whole keys, several keys per bucket, in no
-    particular row order, and never the bucket column itself.
+    particular row order, and never the bucket column itself. It works over the whole bucket (a vectorized
+    groupby, sort or ``drop_duplicates``), so the cost does not grow per
+    distinct key the way a per-key ``groupby(key).map_groups`` does.
 
     The fan-out is ``scale.resolve()``, derived from the workload's
     input size when the exchange is built, and placement is

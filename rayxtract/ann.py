@@ -2,9 +2,10 @@
 
   * ``knn_bruteforce`` — exact cosine top-k: the query matrix is broadcast
     once via ``ray.put`` and every batch does one numpy matmul against it;
-    per-batch partial top-k rows are then reduced in a tiny final groupby.
-    This is the correctness baseline AND the honest small-query-set path at
-    scale (compute is embarrassingly parallel; only q x k rows shuffle).
+    per-batch partial top-k rows are then reduced by one query_id-keyed
+    exchange. This is the correctness baseline AND the honest
+    small-query-set path at scale (compute is embarrassingly parallel;
+    only q x k rows shuffle).
   * ``knn_ivf`` — IVF-style scale path: coarse centroids from a seeded
     sample (trained once, broadcast), every vector assigned to its nearest
     centroid partition; queries probe only ``nprobe`` partitions, so the
@@ -78,14 +79,28 @@ def knn_bruteforce(
             }
         )
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["cosine", id_col], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        return g
-
     partials = ds.map_batches(partial_topk, batch_format="pandas")
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _final_topk(partials, k, id_col)
+
+
+def _final_topk(partials, k: int, id_col: str):
+    """k rows per query_id by (cosine desc, id asc) from per-batch partial
+    top-k rows: one query_id-keyed ``agg.exchange``, one sort and a
+    grouped head(k) per bucket."""
+    from .agg import exchange
+
+    def topk(bucket: pd.DataFrame) -> pd.DataFrame:
+        return (
+            bucket.sort_values(
+                ["query_id", "cosine", id_col],
+                ascending=[True, False, True],
+                kind="mergesort",
+            )
+            .groupby("query_id", sort=False)
+            .head(k)
+        )
+
+    return exchange(partials, "query_id", topk)
 
 
 def knn_ivf(
@@ -136,14 +151,7 @@ def knn_ivf(
             }
         )
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(
-            ["cosine", id_col], ascending=[False, True], kind="mergesort"
-        ).head(k)
-
-    return ds.map_batches(partial, batch_format="pandas").groupby(
-        "query_id"
-    ).map_groups(final_topk, batch_format="pandas")
+    return _final_topk(ds.map_batches(partial, batch_format="pandas"), k, id_col)
 
 
 def _hash_sample(ds, n: int, seed: int, id_col: str, columns: list[str]):

@@ -5,8 +5,8 @@ dedup.
 These generalize the reference's single-document hygiene steps (size/type
 validation, text cleanup during extraction — reference: utils.py:62-201,
 main.py:180-220) into corpus-level curation stages a web-scale training-data
-pipeline needs. All are ``map_batches`` / ``map_groups`` compositions over
-Arrow/pandas batches:
+pipeline needs. All are ``map_batches`` / ``agg.exchange`` compositions
+over Arrow/pandas batches:
 
 * :func:`split_assign` / :func:`stratified_sample` — deterministic
   hash-based dataset partitioning (no RNG: resumable and oracle-checkable).
@@ -23,7 +23,7 @@ Arrow/pandas batches:
 * :func:`paragraph_dedup` — C4-style global paragraph dedup (Raffel et
   al., arXiv:1910.10683 §2.2: keep the first occurrence of every repeated
   span): one fp-bucketed exchange resolves winners locally per bucket, one
-  ``groupby(id)`` exchange reassembles documents — paragraph text moves
+  id-keyed exchange reassembles documents — paragraph text moves
   through exactly two exchanges and nothing is corpus-sized on the driver.
 """
 
@@ -80,9 +80,11 @@ def stratified_sample(ds, strat_col: str, order_cols: list[str], k: int):
     """Deterministic fixed-``k`` sample per stratum: order rows inside each
     stratum by ``order_cols`` (callers pass a hash column + unique id for a
     total order) and keep the first ``k``. Per-batch local head(k) combiner
-    shrinks the exchange to <= k rows per (stratum, batch) before the group
-    shuffle — the grouped-top-k pattern (agg.topk contract applies: the
-    order must be total)."""
+    shrinks the exchange to <= k rows per (stratum, batch) before the
+    stratum-keyed ``agg.exchange``, whose buckets run the same head(k) —
+    the grouped-top-k pattern (agg.topk contract applies: the order must
+    be total)."""
+    from .agg import exchange
 
     def local(batch: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -91,14 +93,7 @@ def stratified_sample(ds, strat_col: str, order_cols: list[str], k: int):
             .head(k)
         )
 
-    def pick(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(order_cols, kind="mergesort").head(k)
-
-    return (
-        ds.map_batches(local, batch_format="pandas")
-        .groupby(strat_col)
-        .map_groups(pick, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(local, batch_format="pandas"), strat_col, local)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,8 @@ def paragraph_dedup(
        resolved locally with a sort + ``drop_duplicates`` — linear in the
        bucket, no pair blow-up even for degenerate fps (empty/boilerplate
        paragraphs), which are bounded by the bucket not a key.
-    3. ``groupby(id).map_groups``: reassemble kept paragraphs per document.
+    3. ``agg.exchange`` on id: reassemble kept paragraphs per document,
+       every document of a bucket in one vectorized pass.
 
     Documents whose every paragraph lost to an earlier copy (exact-dup
     pages) emit no row — callers left-join against the id universe if they
@@ -338,21 +334,36 @@ def paragraph_dedup(
             ["fp", id_col, "para_idx"], kind="mergesort"
         ).drop_duplicates("fp")
 
-    def reassemble(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("para_idx", kind="mergesort")
-        cleaned = sep.join(g["para"].values)
-        return pd.DataFrame(
-            {
-                id_col: pd.Series([g[id_col].iloc[0]], dtype="object"),
-                "n_paras_in": pd.Series([int(g["n_in"].iloc[0])], dtype="int64"),
-                "n_paras_kept": pd.Series([len(g)], dtype="int64"),
-                "cleaned_md5": [hashlib.md5(cleaned.encode("utf-8")).hexdigest()],
-            }
-        )
-
-    return exchange(
+    kept = exchange(
         ds.map_batches(explode, batch_format="pandas"), "fp", keep_winners
-    ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
+    )
+    return exchange(
+        kept,
+        id_col,
+        lambda b: _reassemble(
+            b, id_col, "para_idx", "para", sep,
+            ("n_paras_in", "n_paras_kept", "cleaned_md5"),
+        ),
+    )
+
+
+def _reassemble(bucket, id_col, idx_col, piece_col, sep, out_cols):
+    """One row per document from its kept pieces (paragraphs or lines):
+    ``out_cols`` names the (pieces in, pieces kept, md5) outputs, and the
+    md5 hashes the pieces ``sep``-joined in ``idx_col`` order. ``bucket``
+    holds every kept row of each of its ids (an id-keyed exchange)."""
+    g = bucket.sort_values([id_col, idx_col], kind="mergesort")
+    by = g.groupby(id_col, sort=False, dropna=False)
+    cleaned = by[piece_col].agg(sep.join)
+    n_in, n_kept, md5 = out_cols
+    return pd.DataFrame(
+        {
+            id_col: pd.Series(cleaned.index.to_numpy(), dtype="object"),
+            n_in: by["n_in"].first().to_numpy(np.int64),
+            n_kept: by.size().to_numpy(np.int64),
+            md5: [hashlib.md5(c.encode("utf-8")).hexdigest() for c in cleaned],
+        }
+    )
 
 
 def line_boilerplate(
@@ -389,7 +400,7 @@ def line_boilerplate(
        per-batch pass — zero further exchanges. Past the limit the job
        falls back to the
        :func:`paragraph_dedup` shape: lines re-bucket by fp, the bucket
-       drops frequent fps locally, and one ``groupby(id)`` exchange
+       drops frequent fps locally, and one id-keyed exchange
        reassembles — line text moves through two exchanges, still nothing
        corpus-sized on the driver.
     """
@@ -473,7 +484,7 @@ def line_boilerplate(
         return ds.map_batches(mark, batch_format="pandas")
 
     # exchange fallback: line text re-buckets by fp, frequent fps drop
-    # locally per bucket, one groupby(id) reassembles
+    # locally per bucket, one id-keyed exchange reassembles
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         ids, idxs, lines, n_ins = [], [], [], []
         for did, text in zip(batch[id_col].values, batch[text_col].values):
@@ -500,23 +511,16 @@ def line_boilerplate(
             [id_col, "line_idx", "line", "n_in"]
         ]
 
-    def reassemble(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("line_idx", kind="mergesort")
-        cleaned = sep.join(g["line"].values)
-        return rows_frame(
-            [
-                (
-                    g[id_col].iloc[0],
-                    int(g["n_in"].iloc[0]),
-                    len(g),
-                    hashlib.md5(cleaned.encode("utf-8")).hexdigest(),
-                )
-            ]
-        )
-
     kept = exchange(
-        ds.map_batches(explode, batch_format="pandas"), "fp", drop_frequent
-    ).groupby(id_col).map_groups(reassemble, batch_format="pandas")
+        exchange(
+            ds.map_batches(explode, batch_format="pandas"), "fp", drop_frequent
+        ),
+        id_col,
+        lambda b: _reassemble(
+            b, id_col, "line_idx", "line", sep,
+            ("n_lines_in", "n_lines_kept", "cleaned_md5"),
+        ),
+    )
     # docs whose every line was boilerplate emit no row from the exchange;
     # left-join against the id universe so both paths agree row-for-row
     universe = ds.map_batches(
@@ -533,21 +537,16 @@ def line_boilerplate(
     )
     empty_md5 = hashlib.md5(b"").hexdigest()
 
-    def fill(group: pd.DataFrame) -> pd.DataFrame:
-        g = group[group["n_lines_kept"].notna()]
-        if len(g):
-            return rows_frame(
-                [
-                    (
-                        g[id_col].iloc[0],
-                        int(g["n_lines_in"].iloc[0]),
-                        int(g["n_lines_kept"].iloc[0]),
-                        g["cleaned_md5"].iloc[0],
-                    )
-                ]
-            )
-        return rows_frame(
-            [(group[id_col].iloc[0], int(group["n_lines_in"].iloc[0]), 0, empty_md5)]
+    def fill(bucket: pd.DataFrame) -> pd.DataFrame:
+        # kept holds <= 1 row per id, so all of an id's joined rows agree
+        b = bucket.drop_duplicates(id_col)
+        return pd.DataFrame(
+            {
+                id_col: b[id_col].to_numpy(),
+                "n_lines_in": b["n_lines_in"].to_numpy(np.int64),
+                "n_lines_kept": b["n_lines_kept"].fillna(0).to_numpy(np.int64),
+                "cleaned_md5": b["cleaned_md5"].fillna(empty_md5).to_numpy(object),
+            }
         )
 
     from .joins import bucketed_join
@@ -562,7 +561,7 @@ def line_boilerplate(
         right_key=id_col,
         how="left",
     )
-    return joined.groupby(id_col).map_groups(fill, batch_format="pandas")
+    return exchange(joined, id_col, fill)
 
 
 def weighted_sample(

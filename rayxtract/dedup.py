@@ -54,14 +54,24 @@ def _keep_latest_table(t: pa.Table) -> pa.Table:
 
 
 def dedup_keep_latest(ds):
-    """EXCHANGE-based dedup: local combine -> groupby(url) shuffle ->
-    per-group pick. This is the strict/general-purpose op; the flagship
-    pipeline resolves recrawls WITHOUT moving payloads (pipeline.py pass
-    A winner map) and does not call this. The within-block combine is a
-    safe pre-shuffle reduction: it drops recrawls that share a block.
+    """EXCHANGE-based dedup: local combine -> one url-keyed
+    ``agg.exchange`` -> the same pick over each bucket (its table holds
+    whole urls, many per bucket). This is the strict/general-purpose op;
+    the flagship pipeline resolves recrawls WITHOUT moving payloads
+    (pipeline.py pass A winner map) and does not call this. The
+    within-block combine is a safe pre-exchange reduction: it drops
+    recrawls that share a block.
     """
+    from .agg import exchange
+
     ds = ds.map_batches(_keep_latest_table, batch_format="pyarrow")
-    return ds.groupby("url").map_groups(_keep_latest_table, batch_format="pyarrow")
+    return exchange(
+        ds,
+        "url",
+        lambda df: _keep_latest_table(
+            pa.Table.from_pandas(df, preserve_index=False)
+        ).to_pandas(),
+    )
 
 
 def decontaminate(
@@ -376,8 +386,9 @@ def dup_span_stats(
        whenever boilerplate, not the corpus, bounds the dup set). Past the
        limit windows re-join the dup set
        with ``bucketed_join`` on the hash, dup START positions pack per doc
-       into a bytes column, and a left join brings them back to the text —
-       only (hash, doc, pos) triples move, never token text.
+       into a bytes column (one doc-keyed ``agg.exchange``), and a left
+       join brings them back to the text — only (hash, doc, pos) triples
+       move, never token text.
 
     Output per doc: ``n_tokens``, ``n_windows`` (= max(n_tokens - w + 1,
     0)), ``n_dup_windows`` (duplicated window starts), ``n_dup_tokens``
@@ -391,7 +402,7 @@ def dup_span_stats(
     import pandas as pd
     import ray
 
-    from .agg import bucketed_aggregate
+    from .agg import bucketed_aggregate, exchange
 
     def detect_partial_cls():
         kern = _WindowHashKernel(w)
@@ -540,16 +551,24 @@ def dup_span_stats(
         how="inner",
     )
 
-    def pack_starts(group: pd.DataFrame) -> pd.DataFrame:
-        starts = np.sort(group["pos"].to_numpy().astype(np.int64))
+    def pack_starts(bucket: pd.DataFrame) -> pd.DataFrame:
+        # one row per doc: its sorted dup-window starts as one int64 blob
+        b = bucket.sort_values([id_col, "pos"], kind="mergesort")
+        ids = b[id_col].to_numpy(np.int64)
+        pos = b["pos"].to_numpy(np.int64)
+        first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        stop = np.r_[first[1:], len(ids)]
         return pd.DataFrame(
             {
-                id_col: pd.Series([group[id_col].iloc[0]], dtype="int64"),
-                "starts_bin": pd.Series([starts.tobytes()], dtype="object"),
+                id_col: pd.Series(ids[first], dtype="int64"),
+                "starts_bin": pd.Series(
+                    [pos[a:e].tobytes() for a, e in zip(first, stop)],
+                    dtype="object",
+                ),
             }
         )
 
-    packed = hits.groupby(id_col).map_groups(pack_starts, batch_format="pandas")
+    packed = exchange(hits, id_col, pack_starts)
     docs_sel = docs.select_columns([id_col, text_col])
     joined = bucketed_join(docs_sel, packed, id_col, id_col, how="left")
 

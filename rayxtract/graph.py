@@ -201,6 +201,27 @@ def url_node_id(urls) -> np.ndarray:
     )
 
 
+def _node_table(edges, src_col: str, dst_col: str):
+    """(node, url) once per node id over both edge endpoints: per-batch
+    distinct rows, then one node-keyed ``agg.exchange`` that drops the
+    repeats across batches."""
+    from .agg import exchange
+
+    def node_rows(batch: pd.DataFrame) -> pd.DataFrame:
+        urls = pd.concat(
+            [batch[src_col].astype(str), batch[dst_col].astype(str)],
+            ignore_index=True,
+        )
+        ids = url_node_id(urls.tolist())
+        return pd.DataFrame({"node": ids, "url": urls}).drop_duplicates("node")
+
+    return exchange(
+        edges.map_batches(node_rows, batch_format="pandas"),
+        "node",
+        lambda b: b.drop_duplicates("node"),
+    )
+
+
 def _resolve(src: str, href: str) -> str:
     """Minimal URL resolution: absolute hrefs pass through; path-absolute
     hrefs resolve against the src scheme+host. (Synth links are always
@@ -311,20 +332,7 @@ def pagerank(
         .materialize()
     )
 
-    def node_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        urls = pd.concat(
-            [batch[src_col].astype(str), batch[dst_col].astype(str)],
-            ignore_index=True,
-        )
-        ids = url_node_id(urls.tolist())
-        return pd.DataFrame({"node": ids, "url": urls}).drop_duplicates("node")
-
-    nodes = (
-        edges.map_batches(node_rows, batch_format="pandas")
-        .groupby("node")
-        .map_groups(lambda g: g.head(1), batch_format="pandas")
-        .materialize()
-    )
+    nodes = _node_table(edges, src_col, dst_col).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         import ray.data
@@ -692,20 +700,7 @@ def hits(
 
     id_edges = edges.map_batches(to_ids, batch_format="pandas").materialize()
 
-    def node_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        urls = pd.concat(
-            [batch[src_col].astype(str), batch[dst_col].astype(str)],
-            ignore_index=True,
-        )
-        ids = url_node_id(urls.tolist())
-        return pd.DataFrame({"node": ids, "url": urls}).drop_duplicates("node")
-
-    nodes = (
-        edges.map_batches(node_rows, batch_format="pandas")
-        .groupby("node")
-        .map_groups(lambda g: g.head(1), batch_format="pandas")
-        .materialize()
-    )
+    nodes = _node_table(edges, src_col, dst_col).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         return ray.data.from_pandas(

@@ -90,6 +90,57 @@ def _no_pairs(cols: dict[str, str]):
 
 _PAIR_COLS = {"doc_a": "int64", "doc_b": "int64"}
 
+# pairs per chunk descriptor: one chunk expands to about this many pairs,
+# so an expanding task holds one chunk's index arrays (a few MB) beside
+# Ray's own output block buffer
+_CHUNK_PAIRS = 1 << 18
+_CHUNK_COLS = {"ids": "object", "hi": "object"}
+
+
+def _pair_chunks(ids: np.ndarray, hi: np.ndarray) -> pd.DataFrame:
+    """Descriptors of the pairs (ids[i], ids[j]) for every i < j < hi[i],
+    cut into anchor ranges of about ``_CHUNK_PAIRS`` pairs each. One row
+    per range: the ids it reaches and its anchors' ends (relative to the
+    range start) as int64 blobs. Building them is O(len(ids)) whatever
+    the pair count; :func:`_expand_pair_chunks` materializes the pairs,
+    so a quadratic OUTPUT streams through the object store one bounded
+    chunk at a time instead of piling up in the task that found it."""
+    n = len(ids)
+    cnt = np.maximum(hi - np.arange(n) - 1, 0)
+    if not cnt.any():
+        return _empty_frame(_CHUNK_COLS)
+    chunk = (np.cumsum(cnt) - cnt) // _CHUNK_PAIRS  # by first pair offset
+    starts = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
+    stops = np.r_[starts[1:], n]
+    id_blobs, hi_blobs = [], []
+    for a, e in zip(starts, stops):
+        if cnt[a:e].any():
+            reach = max(int(e), int(hi[a:e].max()))
+            id_blobs.append(ids[a:reach].astype(np.int64).tobytes())
+            hi_blobs.append((hi[a:e] - a).astype(np.int64).tobytes())
+    return pd.DataFrame(
+        {"ids": pd.Series(id_blobs, dtype="object"),
+         "hi": pd.Series(hi_blobs, dtype="object")}
+    )
+
+
+def _expand_pair_chunks(batch: pd.DataFrame) -> pd.DataFrame:
+    """The (doc_a < doc_b) pairs of a batch of :func:`_pair_chunks`
+    descriptors."""
+    outs = [_empty_frame(_PAIR_COLS)]
+    for id_blob, hi_blob in zip(batch["ids"], batch["hi"]):
+        ids = np.frombuffer(id_blob, dtype=np.int64)
+        hi = np.frombuffer(hi_blob, dtype=np.int64)
+        cnt = np.maximum(hi - np.arange(len(hi)) - 1, 0)
+        a = np.repeat(np.arange(len(hi)), cnt)
+        # partner j of anchor i runs i+1 .. hi[i]-1
+        b = np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + a + 1
+        a, b = ids[a], ids[b]
+        outs.append(
+            pd.DataFrame({"doc_a": np.minimum(a, b), "doc_b": np.maximum(a, b)})
+        )
+    return pd.concat(outs, ignore_index=True)
+
 
 class _Family(NamedTuple):
     """What one LSH family adds to the shared candidate step."""
@@ -185,8 +236,10 @@ __all__ = [
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """One surviving (min id) row per distinct text. Shuffles only (fp, id)."""
-    from ray.data.aggregate import Min
+    """One surviving (min id) row per distinct text: (fp, min id) per
+    batch, then one fp-keyed exchange that takes the min per bucket.
+    Shuffles only (fp, id)."""
+    from .agg import bucketed_aggregate
 
     def fp_batch(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -200,7 +253,7 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         )
 
     partial = ds.map_batches(fp_batch, batch_format="pandas")
-    return partial.groupby("fp").aggregate(Min(id_col, alias_name=id_col))
+    return bucketed_aggregate(partial, ["fp"], {id_col: (id_col, "min")})
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +694,12 @@ def prefix_filter_pairs(
     hash collision promotes the member back to its own class, so
     exactness never rests on the hash) -> bucketed df count over
     REPRESENTATIVES -> bucketed df re-join -> per-doc prefix selection
-    (groupby doc) -> per-gram candidate pairs (groupby gram; all-pairs
-    over reps with the PPJoin LENGTH filter |A| >= t*|B|; df-ordering
-    plus the collapse bound bucket width — a templated corpus of
-    thousands of identical pages contributes ONE rep per bucket instead
-    of going quadratic in a single task, VERDICT r3 #1) -> exact
+    (doc-keyed exchange) -> per-gram candidate pairs (gram-keyed
+    exchange emitting bounded chunk descriptors, expanded downstream;
+    all-pairs over reps with the PPJoin LENGTH filter |A| >= t*|B|;
+    df-ordering plus the collapse bound bucket width — a templated
+    corpus of thousands of identical pages contributes ONE rep per
+    bucket instead of going quadratic in a single task) -> exact
     ngram_jaccard_verify over rep pairs -> expansion: a verified rep
     pair (ra, rb, j) expands to every (member_a, member_b, j) — exact
     because Jaccard is a set function and members' gram sets equal their
@@ -653,11 +707,9 @@ def prefix_filter_pairs(
     at jaccard 1.0 (set equality, no per-pair verification needed).
     Returns (doc_a, doc_b, jaccard >= threshold).
     """
-    import math
-
     import ray
 
-    from .agg import bucketed_aggregate
+    from .agg import bucketed_aggregate, exchange
     from .joins import bucketed_join
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -825,63 +877,61 @@ def prefix_filter_pairs(
     )
     gd = bucketed_join(work, df, "g", "g")
 
-    def prefix(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["df", "g"], kind="mergesort")
-        sz = int(g["sz"].iloc[0])
+    def prefix(bucket: pd.DataFrame) -> pd.DataFrame:
+        # per doc: its grams in (df, g) order, cut to the prefix length
+        g = bucket.sort_values([id_col, "df", "g"], kind="mergesort")
+        rank = g.groupby(id_col, sort=False).cumcount().to_numpy()
+        sz = g["sz"].to_numpy(np.int64)
         # recall-safe ceil: float t*sz can land epsilon ABOVE an exact
         # integer (0.07*100 -> 7.000000000000001, ceil 8), shortening the
         # prefix and silently dropping true pairs; biasing the ceil DOWN
         # lengthens the prefix at worst (extra candidates, verified away)
-        p = sz - math.ceil(threshold * sz - 1e-9) + 1
-        out = g.head(p)
+        p = sz - np.ceil(threshold * sz - 1e-9).astype(np.int64) + 1
+        out = g[rank < p]
         return pd.DataFrame(
             {
                 "g": out["g"].astype("int64").values,
                 id_col: out[id_col].astype("int64").values,
-                "sz": np.full(len(out), sz, dtype="int64"),
+                "sz": out["sz"].astype("int64").values,
             }
         )
 
-    prefixes = gd.groupby(id_col).map_groups(prefix, batch_format="pandas")
+    prefixes = exchange(gd, id_col, prefix)
 
-    def gram_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        dd = group.drop_duplicates(id_col).sort_values(
-            ["sz", id_col], kind="mergesort"
+    def gram_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
+        # every gram of the bucket at once: its docs in (sz, id) order,
+        # each doc paired with the later docs of the same gram that pass
+        # the length filter, emitted as bounded chunk descriptors
+        dd = bucket.drop_duplicates(["g", id_col]).sort_values(
+            ["g", "sz", id_col], kind="mergesort"
         )
-        ids = dd[id_col].astype("int64").to_numpy()
-        szs = dd["sz"].astype("int64").to_numpy()
-        n = len(ids)
-        empty = pd.DataFrame(
-            {"doc_a": pd.Series(dtype="int64"),
-             "doc_b": pd.Series(dtype="int64")}
-        )
-        if n < 2:
-            return empty
-        if n > 4096:  # wide even after sig collapse — log, keep exact
-            _log_hot_bucket("prefix-filter", n, n, n)
+        g = dd["g"].to_numpy(np.int64)
+        ids = dd[id_col].to_numpy(np.int64)
+        szs = dd["sz"].to_numpy(np.int64)
+        new = np.r_[True, g[1:] != g[:-1]]
+        width = np.diff(np.r_[np.flatnonzero(new), len(g)])
+        # a gram wide even after the sig collapse: log it, keep it exact
+        for n in width[width > 4096]:
+            _log_hot_bucket("prefix-filter", int(n), int(n), int(n))
         # PPJoin length filter: J(A,B) >= t forces |A| >= t*|B| for
-        # |A| <= |B|. With szs ascending, doc i pairs only with j in
-        # (i, hi_i) where sz_j <= sz_i / t — epsilon-biased WIDE (extra
-        # candidates verify away; a short bound would drop true pairs)
-        lim = szs.astype("float64") / max(threshold, 1e-12) + 1e-9
-        hi = np.searchsorted(szs, lim, side="right")
-        cnt = np.maximum(hi - np.arange(n) - 1, 0)
-        total = int(cnt.sum())
-        if not total:
-            return empty
-        a = np.repeat(ids, cnt)
-        take = np.concatenate(
-            [np.arange(i + 1, i + 1 + c) for i, c in enumerate(cnt) if c]
-        )
-        b_ = ids[take]
-        return pd.DataFrame(
-            {"doc_a": np.minimum(a, b_).astype("int64"),
-             "doc_b": np.maximum(a, b_).astype("int64")}
-        )
+        # |A| <= |B|. With szs ascending per gram, doc i pairs only with
+        # j in (i, hi_i) where sz_j <= sz_i / t — epsilon-biased WIDE
+        # (extra candidates verify away; a short bound would drop true
+        # pairs). Keying (gram, sz) as one int64 keeps each hi inside its
+        # own gram.
+        top = int(szs.max())
+        lim = np.floor(szs / max(threshold, 1e-12) + 1e-9)
+        lim = np.minimum(lim, top).astype(np.int64)
+        seg = np.cumsum(new) - 1
+        key = seg * (top + 1)
+        hi = np.searchsorted(key + szs, key + lim, side="right")
+        return _pair_chunks(ids, hi)
 
     # pinned before the distinct-pairs exchange: chaining that exchange
     # onto this CPU-heavy stage measured ~40% slower per call at sf0.001
-    cand = prefixes.groupby("g").map_groups(gram_pairs, batch_format="pandas")
+    cand = exchange(prefixes, "g", gram_pairs).map_batches(
+        _expand_pair_chunks, batch_format="pandas", batch_size=1
+    )
     pairs = _distinct_pairs(cand.materialize(), _PAIR_COLS)
     verified = ngram_jaccard_verify(
         ds, pairs, k=k, threshold=threshold, id_col=id_col, text_col=text_col
@@ -895,70 +945,35 @@ def prefix_filter_pairs(
 
     # ---- expansion back to member pairs (exact: Jaccard is a set
     # function and every member's gram set string-equals its rep's).
-    # Two-stage: the per-class task emits only anchor-CHUNK descriptors
-    # (member ids as one narrow blob — O(n) per class), and a downstream
-    # map expands each chunk to <= ~1M pairs. A single-task
-    # np.triu_indices over a 50k-member class would allocate ~20 GB of
+    # Two-stage, like the candidate pairs: the per-bucket task emits only
+    # chunk descriptors (member ids as narrow blobs — O(n) per class),
+    # and a downstream map expands one chunk (~256k pairs) at a time. A
+    # single-task np.triu_indices over a 50k-member class would allocate ~20 GB of
     # index arrays; this bounds every task's output regardless of class
     # size and lets the quadratic OUTPUT (inherent to the exact-join
     # contract) stream through the object store.
-    _CHUNK_PAIRS = 1 << 20
-
-    def within_chunks(group: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(group[id_col].astype("int64").unique())
-        n = len(ids)
-        empty = pd.DataFrame(
-            {"start": pd.Series(dtype="int64"),
-             "stop": pd.Series(dtype="int64"),
-             "blob": pd.Series(dtype="object")}
+    def within_chunks(bucket: pd.DataFrame) -> pd.DataFrame:
+        # every class of the bucket at once: all pairs among its members
+        m = bucket.drop_duplicates(["rep", id_col]).sort_values(
+            ["rep", id_col], kind="mergesort"
         )
-        if n < 2:
-            return empty
-        if n > 4096:
+        rep = m["rep"].to_numpy(np.int64)
+        first = np.flatnonzero(np.r_[True, rep[1:] != rep[:-1]])
+        width = np.diff(np.r_[first, len(rep)])
+        for n in width[width > 4096]:
             logger.warning(
                 "prefix-filter: expanding a %d-member identical-gram-set "
                 "class (%d output pairs — inherent to the exact-join "
                 "output contract; emitted in bounded chunks)",
                 n, n * (n - 1) // 2,
             )
-        apc = max(1, _CHUNK_PAIRS // n)  # anchors per chunk
-        starts = np.arange(0, n - 1, apc, dtype=np.int64)
-        stops = np.minimum(starts + apc, n - 1)
-        blob = ids.tobytes()
-        return pd.DataFrame(
-            {"start": starts, "stop": stops,
-             "blob": pd.Series([blob] * len(starts), dtype="object")}
-        )
+        hi = np.repeat(first + width, width)
+        return _pair_chunks(m[id_col].to_numpy(np.int64), hi)
 
-    def expand_chunk(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for s, e, blob in zip(
-            batch["start"].astype(int), batch["stop"].astype(int),
-            batch["blob"],
-        ):
-            ids = np.frombuffer(blob, dtype=np.int64)
-            n = len(ids)
-            cnt = (n - 1 - np.arange(s, e)).astype(np.int64)
-            a = np.repeat(ids[s:e], cnt)
-            take = np.concatenate([np.arange(i + 1, n) for i in range(s, e)])
-            outs.append(
-                pd.DataFrame(
-                    {"doc_a": a, "doc_b": ids[take],
-                     "jaccard": np.full(len(a), 1.0, dtype="float64")}
-                )
-            )
-        if not outs:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"),
-                 "doc_b": pd.Series(dtype="int64"),
-                 "jaccard": pd.Series(dtype="float64")}
-            )
-        return pd.concat(outs, ignore_index=True)
-
-    within_pairs = (
-        class_map.groupby("rep")
-        .map_groups(within_chunks, batch_format="pandas")
-        .map_batches(expand_chunk, batch_format="pandas", batch_size=8)
+    within_pairs = exchange(class_map, "rep", within_chunks).map_batches(
+        lambda b: _expand_pair_chunks(b).assign(jaccard=1.0),
+        batch_format="pandas",
+        batch_size=1,
     )
     if not verified.count():
         return within_pairs
@@ -1291,13 +1306,13 @@ def label_propagation_clusters(pairs, max_rounds: int = 64):
     driver) and a sorted pandas DataFrame for DataFrame input.
 
     Per round: labels re-join onto directed edges (bucketed hash join),
-    each node takes the min over its own label and all neighbor labels,
-    convergence is detected from the global label sum (a single tiny
-    aggregate). Rounds needed = graph diameter (near-dup components are
-    shallow stars in practice)."""
+    each node takes the min over its own label and all neighbor labels
+    (one node-keyed ``agg.bucketed_aggregate``), convergence is detected
+    from the global label sum (a single tiny aggregate). Rounds needed =
+    graph diameter (near-dup components are shallow stars in practice)."""
     import ray.data
-    from ray.data.aggregate import Min
 
+    from .agg import bucketed_aggregate
     from .joins import bucketed_join
 
     as_dataset = not isinstance(pairs, pd.DataFrame)
@@ -1336,12 +1351,12 @@ def label_propagation_clusters(pairs, max_rounds: int = 64):
         u = pd.Series(batch["src"].unique(), dtype="int64")
         return pd.DataFrame({"node": u, "label": u})
 
-    labels = (
+    def min_label(ds):
+        return bucketed_aggregate(ds, ["node"], {"label": ("label", "min")})
+
+    labels = min_label(
         edges.map_batches(init_labels, batch_format="pandas")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
+    ).materialize()
     prev_sum = None
     for _ in range(max_rounds):
         prop = bucketed_join(edges, labels, "src", "node")
@@ -1356,16 +1371,11 @@ def label_propagation_clusters(pairs, max_rounds: int = 64):
 
         msgs = prop.map_batches(msg, batch_format="pandas")
         # repartition bounds the label table's block count: union emits
-        # blocks(labels)+blocks(msgs), so without it each round DOUBLES the
-        # block count and sort cost grows geometrically (measured in the
-        # pagerank twin of this loop: 3 -> 511 blocks over 8 rounds)
-        labels = (
-            labels.union(msgs)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .repartition(8)
-            .materialize()
-        )
+        # blocks(labels)+blocks(msgs), the exchange's sort keeps that
+        # count, so without it each round DOUBLES the block count and sort
+        # cost grows geometrically (measured in the pagerank twin of this
+        # loop: 3 -> 511 blocks over 8 rounds)
+        labels = min_label(labels.union(msgs)).repartition(8).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break

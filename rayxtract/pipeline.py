@@ -48,6 +48,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import configure_context
 from . import manifest as mf
 from . import scale as _scale
 from .ops import ExtractConfig, extract_batch, isolate_heavy
@@ -397,6 +398,7 @@ def extraction_dataset(
     import ray
     import ray.data
 
+    configure_context()  # before any read: datasets snapshot the context
     cfg = cfg or ExtractConfig()
     # this job's own input sizes its exchanges — SET, not raised, so a
     # small job after a big one in the same process gets the small fan-out

@@ -3,10 +3,12 @@
 Every explicit exchange in this engine hash-partitions into
 ``resolve()`` merge tasks. All of them but one go through
 ``agg.exchange`` — ``bucketed_aggregate``, every keyed operator and query
-stage, and every join (``bucketed_join``, ``interval_join``,
-``asof_join`` and ``auto_join`` past its broadcast limit); the flagship
-winner pass is the only remaining direct placement by
-``joins.bucket_of``. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
+stage (exact dedup, min-label propagation, keep-latest dedup, the
+prefix-filter stages, the graph node tables, paragraph/line reassembly
+and the k-NN top-k among them), and every join (``bucketed_join``,
+``interval_join``, ``asof_join`` and ``auto_join`` past its broadcast
+limit); the flagship winner pass is the only remaining direct placement
+by ``joins.bucket_of``. A FIXED fan-out is a 100x-scale hazard: 16 buckets puts
 ~6% of a corpus-sized join into one task regardless of corpus size.
 This module derives the fan-out from the bytes actually flowing in:
 

@@ -156,6 +156,19 @@ def test_lazy_dataset_streams(small_corpus):
     assert n == 1000  # unique urls
 
 
+def test_extraction_dataset_sets_the_block_cap(small_corpus, monkeypatch):
+    """Library callers (not only the CLI) extract under the engine's
+    32 MiB block cap that ops.isolate_heavy relies on, not Ray's 128 MiB
+    default."""
+    from ray.data.context import DataContext
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 128 * 1024 * 1024)
+    pages_dir, _ = small_corpus
+    extraction_dataset(pages_dir, ExtractConfig())
+    assert DataContext.get_current().target_max_block_size == 32 * 1024 * 1024
+
+
 def test_resume_and_single_shard(small_corpus, tmp_path):
     """The loser filter composes with resume (partition ids are ABSOLUTE
     shard ids, independent of the skip set) and with a single-shard input;
